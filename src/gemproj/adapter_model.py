@@ -181,13 +181,18 @@ def _prep_batch(model: TinyMlp, X, y) -> tuple[np.ndarray, np.ndarray]:
     return X, y
 
 
-def _loss_and_weight_grads(model: TinyMlp, X, y):
+def effective_weights(model: TinyMlp) -> list[np.ndarray]:
+    """Each layer's W0 + (alpha/r) B A at the current adapters."""
+    return [layer.effective_weight() for layer in model.layers]
+
+
+def _loss_and_weight_grads(model: TinyMlp, X, y, weights=None):
     """Mean softmax cross-entropy and its gradient w.r.t. each layer's
-    effective weight matrix."""
+    effective weight matrix; ``weights`` are ``effective_weights(model)``
+    when the caller already formed them."""
     X, y = _prep_batch(model, X, y)
     n = X.shape[0]
-    W1 = model.layers[0].effective_weight()
-    W2 = model.layers[1].effective_weight()
+    W1, W2 = effective_weights(model) if weights is None else weights
     Z1 = X @ W1.T
     H = np.tanh(Z1)
     Z2 = H @ W2.T
@@ -205,12 +210,13 @@ def _loss_and_weight_grads(model: TinyMlp, X, y):
     return loss, [dW1, dW2]
 
 
-def backward(model: TinyMlp, X, y) -> tuple[float, np.ndarray]:
+def backward(model: TinyMlp, X, y, weights=None) -> tuple[float, np.ndarray]:
     """Mean-over-batch loss and adapter gradient g_phi (flat, length d_phi).
 
     Base weights receive no gradient; only the A and B blocks appear.
+    ``weights`` may carry precomputed ``effective_weights(model)``.
     """
-    loss, dWs = _loss_and_weight_grads(model, X, y)
+    loss, dWs = _loss_and_weight_grads(model, X, y, weights)
     blocks = []
     for layer, dW in zip(model.layers, dWs):
         s = layer.scaling

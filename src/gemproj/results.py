@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import json
 import os
 import platform
@@ -103,7 +104,7 @@ def atomic_write_text(path: str, text: str):
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_", suffix=".part")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        with os.fdopen(fd, "w", newline="", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -124,14 +125,12 @@ CURVE_COLUMNS = [
 
 def write_curves_csv(path: str, log: RunLog):
     """Flat per-step CSV (plot-ready; one row per training step)."""
-    rows = [
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(CURVE_COLUMNS)
+    writer.writerows(
         [r.task, r.step, repr(r.loss), repr(r.proj_time), repr(r.lambda_norm),
          repr(r.max_violation), repr(r.violation_before), int(r.projected)]
         for r in log.steps
-    ]
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".tmp_", suffix=".part")
-    with os.fdopen(fd, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CURVE_COLUMNS)
-        writer.writerows(rows)
-    os.replace(tmp, path)
+    )
+    atomic_write_text(path, buf.getvalue())

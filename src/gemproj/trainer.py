@@ -1,8 +1,9 @@
 """Training harness: per-step projection loop and multi-task experience loop.
 
 One training step = backprop on the current minibatch, rebuild of the
-constraint matrix from replay buffers, projection of the raw adapter
-gradient by the configured method, optimizer step on phi, buffer update
+constraint matrix from replay buffers for projecting methods (naive
+never reads it), projection of the raw adapter gradient by the
+configured method, optimizer step on phi, buffer update
 for the current task, and warm-start carryover of the dual multipliers.
 The projection always applies to the raw gradient, before any optimizer
 preconditioning; with adamw the non-interference certificate therefore
@@ -255,10 +256,11 @@ def train_step(state: TrainerState, X, y) -> StepRecord:
         raise NonFiniteLossError(f"non-finite loss at task {state.task_index} step {state.global_step}")
 
     past = [t for t in state.buffers.tasks() if t < state.task_index]
-    if past and (state.G is None or state.steps_since_build >= cfg.proj_interval):
+    projecting = bool(past) and cfg.method != "naive"
+    if projecting and (state.G is None or state.steps_since_build >= cfg.proj_interval):
         state.G = build_constraint_matrix(state.buffers, state.model, past, normalize=cfg.normalize_rows)
         state.steps_since_build = 0
-    if past:
+    if projecting:
         state.steps_since_build += 1
 
     g_tilde = g
@@ -267,7 +269,7 @@ def train_step(state: TrainerState, X, y) -> StepRecord:
     lambda_norm = 0.0
     max_violation = 0.0
     violation_before = 0.0
-    if past and cfg.method != "naive":
+    if projecting:
         G = state.G
         violated, worst = violation_check(g, G, cfg.violation_tol)
         violation_before = max(0.0, -worst) if np.isfinite(worst) else 0.0

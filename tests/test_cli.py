@@ -56,6 +56,18 @@ def test_atomic_write_leaves_no_partial_files(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
 
 
+def test_failed_curves_write_leaves_no_temp_file(tmp_path, monkeypatch):
+    _, log = small_doc()
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        write_curves_csv(str(tmp_path / "curves.csv"), log)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_curves_csv_has_one_row_per_step(tmp_path):
     doc, log = small_doc()
     path = tmp_path / "curves.csv"

@@ -1,9 +1,84 @@
+import dataclasses
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from gemproj import adapter_model as am
+from gemproj import trainer
+from gemproj.datagen import StreamSpec, generate_stream
 from gemproj.projector import exact_qp_project
 from gemproj.replay import ReplayBuffer, build_constraint_matrix, task_gradient
+
+
+class ListReplayBuffer:
+    """Reference model: the straightforward list-of-(x, y) buffer that
+    recounts labels on every eviction.  ReplayBuffer must store exactly the
+    same rows in the same order after every insert."""
+
+    def __init__(self, capacity_per_task=100, total_cap=150):
+        self.capacity_per_task = capacity_per_task
+        self.total_cap = total_cap
+        self.per_task = {}
+
+    def tasks(self):
+        return sorted(t for t, items in self.per_task.items() if items)
+
+    def size(self, task):
+        return len(self.per_task.get(task, []))
+
+    def total_size(self):
+        return sum(len(v) for v in self.per_task.values())
+
+    def label_counts(self, task):
+        return Counter(y for _, y in self.per_task.get(task, []))
+
+    def examples(self, task):
+        items = self.per_task.get(task, [])
+        if not items:
+            raise ValueError(f"replay buffer for task {task} is empty")
+        X = np.stack([x for x, _ in items])
+        y = np.array([y for _, y in items], dtype=np.int64)
+        return X, y
+
+    def _evict_one(self, task):
+        items = self.per_task[task]
+        counts = Counter(y for _, y in items)
+        top = max(counts.items(), key=lambda kv: (kv[1], -kv[0]))[0]
+        for i, (_, y) in enumerate(items):
+            if y == top:
+                del items[i]
+                return
+
+    def _largest_task(self):
+        return max(self.per_task, key=lambda t: (len(self.per_task[t]), -t))
+
+    def to_dict(self):
+        return {
+            "capacity_per_task": self.capacity_per_task,
+            "total_cap": self.total_cap,
+            "per_task": {
+                str(t): [{"x": [float(v) for v in x], "y": y} for x, y in items]
+                for t, items in sorted(self.per_task.items())
+            },
+        }
+
+    def insert(self, task, X, y):
+        X = np.asarray(X, dtype=np.float64)
+        y = np.asarray(y, dtype=np.int64)
+        if X.ndim == 1:
+            X = X[None, :]
+            y = np.atleast_1d(y)
+        if np.any(y < 0):
+            raise ValueError("labels must be nonnegative class indices")
+        items = self.per_task.setdefault(task, [])
+        for xi, yi in zip(X, y):
+            items.append((xi.copy(), int(yi)))
+            if len(items) > self.capacity_per_task:
+                self._evict_one(task)
+            while self.total_size() > self.total_cap:
+                self._evict_one(self._largest_task())
+        return self
 
 
 def make_examples(labels, dim=4, seed=0):
@@ -46,8 +121,9 @@ def test_insertion_is_deterministic():
         buf.insert(0, X, y)
         bufs.append(buf)
     a, b = bufs
-    assert [yy for _, yy in a.per_task[0]] == [yy for _, yy in b.per_task[0]]
-    for (xa, _), (xb, _) in zip(a.per_task[0], b.per_task[0]):
+    (Xa, ya), (Xb, yb) = a.examples(0), b.examples(0)
+    assert ya.tolist() == yb.tolist()
+    for xa, xb in zip(Xa, Xb):
         np.testing.assert_array_equal(xa, xb)
 
 
@@ -74,8 +150,8 @@ def test_total_cap_evicts_oldest_of_largest_task():
     assert buf.total_size() == 10
     assert buf.size(0) == 5 and buf.size(1) == 5
     # the survivors in task 0 are the NEWEST zeros (oldest evicted first)
-    kept = [tuple(x) for x, _ in buf.per_task[0]]
-    np.testing.assert_array_equal(np.array(kept), X[3:])
+    kept, _ = buf.examples(0)
+    np.testing.assert_array_equal(kept, X[3:])
 
 
 def test_insert_rejects_negative_labels():
@@ -175,3 +251,116 @@ def test_rebuild_after_parameter_step_changes_g():
     am.set_adapter_params(model, phi - 0.05 * np.sign(phi))
     fresh = build_constraint_matrix(buf, model, [0, 1])
     assert np.abs(fresh.data - stale.data).max() > 0.0
+
+
+# --- agreement with the reference model ----------------------------------------------
+
+def _assert_same_memory(buf, ref, n_tasks):
+    assert buf.tasks() == ref.tasks()
+    assert buf.total_size() == ref.total_size()
+    assert buf.to_dict() == ref.to_dict()
+    for t in range(n_tasks + 1):
+        assert buf.size(t) == ref.size(t)
+        assert buf.label_counts(t) == ref.label_counts(t)
+        if ref.size(t):
+            (X, y), (X_ref, y_ref) = buf.examples(t), ref.examples(t)
+            assert np.array_equal(X, X_ref) and X.dtype == X_ref.dtype
+            assert np.array_equal(y, y_ref) and y.dtype == y_ref.dtype
+        else:
+            with pytest.raises(ValueError, match="empty"):
+                buf.examples(t)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("capacity,total_cap", [(9, 14), (25, 1000)])
+def test_random_inserts_match_list_reference(seed, capacity, total_cap):
+    rng = np.random.default_rng([seed, capacity])
+    n_tasks = 4
+    buf = ReplayBuffer(capacity_per_task=capacity, total_cap=total_cap)
+    ref = ListReplayBuffer(capacity_per_task=capacity, total_cap=total_cap)
+    for call in range(80):
+        task = int(rng.integers(n_tasks))
+        # early calls draw from a few labels with gaps; label 6 shows up late
+        labels = [0, 2, 3] if call < 30 else [0, 2, 3, 6]
+        if rng.random() < 0.25:
+            X, y = rng.standard_normal(5), int(rng.choice(labels))
+        else:
+            n = int(rng.integers(0, 41))
+            X, y = rng.standard_normal((n, 5)), rng.choice(labels, size=n)
+        buf.insert(task, X, y)
+        ref.insert(task, X, y)
+        _assert_same_memory(buf, ref, n_tasks)
+
+
+def test_examples_are_read_only():
+    buf = ReplayBuffer()
+    X, y = make_examples([0, 1, 2])
+    buf.insert(0, X, y)
+    X_kept, y_kept = buf.examples(0)
+    with pytest.raises(ValueError):
+        X_kept[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        y_kept[0] = 1
+
+
+def test_insert_rejects_malformed_batches():
+    buf = ReplayBuffer()
+    with pytest.raises(ValueError, match="labels"):
+        buf.insert(0, np.zeros((3, 4)), np.array([0, 1]))
+    buf.insert(0, np.zeros((2, 4)), np.array([0, 1]))
+    with pytest.raises(ValueError, match="dim"):
+        buf.insert(0, np.zeros((2, 5)), np.array([0, 1]))
+    assert buf.size(0) == 2 and buf.total_size() == 2
+
+
+def test_build_rows_equal_normalized_task_gradients():
+    model = small_model()
+    buf = _filled_buffer(model, tasks=(0, 1, 2))
+    G = build_constraint_matrix(buf, model, [0, 1, 2], normalize=True)
+    rows = np.stack([task_gradient(buf, t, model) for t in (0, 1, 2)])
+    assert np.array_equal(G.data, rows / np.linalg.norm(rows, axis=1)[:, None])
+
+
+# --- the trainer on top of the buffer ----------------------------------------------------
+
+SMALL_MODEL = am.ModelConfig(input_dim=8, hidden_dim=6, n_classes=4, rank=2, alpha=8.0)
+
+
+def _small_run(method, **cfg_kw):
+    spec = StreamSpec(seed=1, n_per_experience=300, feature_dim=8)
+    stream = generate_stream(spec)
+    model = trainer.prepare_model(spec, 1, model_config=SMALL_MODEL)
+    cfg = trainer.TrainConfig(method=method, seed=1, optimizer="adamw", **cfg_kw)
+    return trainer.run_experiences(cfg, stream, model)
+
+
+def _step_fields(log):
+    skip = ("timestamp", "proj_time")
+    return [{k: v for k, v in dataclasses.asdict(r).items() if k not in skip} for r in log.steps]
+
+
+@pytest.mark.parametrize("method", trainer.METHODS)
+def test_run_is_bit_identical_with_list_reference(method, monkeypatch):
+    R, log = _small_run(method, dump_buffers=True)
+    monkeypatch.setattr(trainer, "ReplayBuffer", ListReplayBuffer)
+    R_ref, log_ref = _small_run(method, dump_buffers=True)
+    assert R.R.tobytes() == R_ref.R.tobytes()
+    assert _step_fields(log) == _step_fields(log_ref)
+    assert log.buffer_dump == log_ref.buffer_dump
+
+
+@pytest.mark.parametrize("method", trainer.METHODS)
+def test_only_projecting_methods_build_constraints(method, monkeypatch):
+    calls = []
+    build = trainer.build_constraint_matrix
+
+    def counting_build(*args, **kwargs):
+        calls.append(1)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "build_constraint_matrix", counting_build)
+    _small_run(method)
+    if method == "naive":
+        assert len(calls) == 0
+    else:
+        assert len(calls) > 0
