@@ -1,6 +1,7 @@
-# The tiny frozen-base + low-rank-adapter classifier: exact manual
-# backprop checked against finite differences, the adapter/full-space
-# chain-rule identity, and the versioned checkpoint round trip.
+# The tiny frozen-base + low-rank-adapter classifier: the flat adapter
+# vector phi as the model's only parameter store, exact manual backprop
+# checked against finite differences, the adapter/full-space chain-rule
+# identity, and the versioned checkpoint round trip.
 
 import os
 import tempfile
@@ -28,8 +29,13 @@ print(f"model: {config.input_dim}->{config.hidden_dim}->{config.n_classes}, "
       f"rank {config.rank}, d_phi = {adapter_dim(model)}")
 
 rng = np.random.default_rng(0)
-phi = get_adapter_params(model).phi
-set_adapter_params(model, phi + 0.05 * rng.standard_normal(phi.size))  # generic point
+set_adapter_params(model, model.phi + 0.05 * rng.standard_normal(model.phi.size))  # generic point
+
+# every layer's B and A are views into model.phi: writing phi moves them
+layer = model.layers[0]
+print(f"layer 0: B {layer.B.shape} and A {layer.A.shape} share phi's memory: "
+      f"{np.shares_memory(layer.B, model.phi) and np.shares_memory(layer.A, model.phi)}")
+snapshot = get_adapter_params(model)  # a copy, unaffected by later writes
 
 X = rng.standard_normal((10, 8))
 y = rng.integers(0, 3, size=10)
@@ -37,20 +43,20 @@ y = rng.integers(0, 3, size=10)
 loss, g = backward(model, X, y)
 print(f"\nbatch loss = {loss:.6f}, ||g_phi|| = {np.linalg.norm(g):.6f}")
 
-# central differences as an independent oracle for a few coordinates
+# central differences as an independent oracle for a few coordinates,
+# perturbing phi in place and restoring it
 step = 1e-5
 print("coordinate   backward      central-diff")
 for j in (0, 7, 42, adapter_dim(model) - 1):
-    probe = get_adapter_params(model).phi
+    saved = model.phi[j]
     vals = []
     for sign in (+1, -1):
-        p = probe.copy()
-        p[j] += sign * step
-        set_adapter_params(model, p)
+        model.phi[j] = saved + sign * step
         vals.append(backward(model, X, y)[0])
-    set_adapter_params(model, probe)
+    model.phi[j] = saved
     fd = (vals[0] - vals[1]) / (2 * step)
     print(f"  {j:9d}  {g[j]:+.8f}  {fd:+.8f}")
+print(f"phi restored exactly: {np.array_equal(model.phi, snapshot)}")
 
 # chain rule: pulling the full-weight gradient back through the adapter
 # Jacobian reproduces backward exactly

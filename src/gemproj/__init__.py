@@ -9,7 +9,6 @@ synthetic benchmark, CL metric suite) to exercise them end to end.
 """
 
 from .adapter_model import (
-    AdapterParams,
     LoraLayer,
     ModelConfig,
     TinyMlp,

@@ -3,7 +3,8 @@ low-rank adapters.
 
 Each layer computes x -> (W0 + (alpha/r) B A) x with W0 frozen after
 pretraining and only B (d x r) and A (r x k) trainable.  Training state
-lives in the flat adapter vector phi; `backward` computes its gradient
+lives in the flat adapter vector ``model.phi``, of which every B and A
+is a view; `backward` computes its gradient
 by exact manual backpropagation, and the Jacobian helpers expose the
 adapter-subspace geometry (g_phi = J' g for any full-weight gradient g,
 and full-weight directions J dphi for adapter directions dphi).
@@ -11,8 +12,9 @@ and full-weight directions J dphi for adapter directions dphi).
 
 from __future__ import annotations
 
+import dataclasses
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,105 +44,115 @@ class ModelConfig:
 
 
 class LoraLayer:
-    """One linear layer with a frozen dense weight plus a low-rank update."""
+    """One linear layer with a frozen dense weight plus a low-rank update.
 
-    def __init__(self, W0: np.ndarray, rank: int, alpha: float):
-        W0 = np.asarray(W0, dtype=np.float64)
-        d, k = W0.shape
-        if rank < 1:
-            raise ValueError("rank must be >= 1")
-        if rank > min(d, k):
-            raise ValueError(f"rank {rank} exceeds min(d, k) = {min(d, k)}")
+    B (d x r) and A (r x k) are row-major views into the owning model's
+    flat adapter vector phi, B at ``offset`` and A right after it.
+    Writing phi moves them, and rebinding them raises.
+    """
+
+    def __init__(self, W0: np.ndarray, rank: int, alpha: float, phi: np.ndarray, offset: int):
         self.W0 = W0
-        self.B = np.zeros((d, rank))
-        self.A = np.zeros((rank, k))
         self.rank = rank
         self.alpha = float(alpha)
+        self.offset = offset
+        self._B, self._A = self._blocks(phi)
+
+    def __getstate__(self):
+        # copies leave the views out; the owning model binds them to its phi
+        return {k: v for k, v in self.__dict__.items() if k not in ("_B", "_A")}
+
+    def _blocks(self, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """This layer's (B, A)-shaped views into a flat adapter-space vector."""
+        d, k = self.W0.shape
+        mid = self.offset + d * self.rank
+        return (vec[self.offset : mid].reshape(d, self.rank),
+                vec[mid : mid + self.rank * k].reshape(self.rank, k))
+
+    @property
+    def B(self) -> np.ndarray:
+        return self._B
+
+    @property
+    def A(self) -> np.ndarray:
+        return self._A
 
     @property
     def scaling(self) -> float:
         return self.alpha / self.rank
 
     def effective_weight(self) -> np.ndarray:
-        return self.W0 + self.scaling * (self.B @ self.A)
+        return self.W0 + self.scaling * (self._B @ self._A)
+
+
+def _zeros_64(n: int) -> np.ndarray:
+    """n float64 zeros starting on a 64-byte boundary.  np.zeros promises
+    16 bytes, and OpenBLAS ran B @ A about half as fast on blocks 16 bytes
+    past a 32-byte boundary (wide-model adapters, 2-core x86 host)."""
+    buf = np.zeros(n + 7)
+    start = (-buf.ctypes.data % 64) // 8
+    return buf[start : start + n]
 
 
 class TinyMlp:
     """Two LoRA layers (input->hidden, hidden->classes) with tanh between;
-    the second layer is the classification head, loss is softmax CE."""
+    the second layer is the classification head, loss is softmax CE.
 
-    def __init__(self, config: ModelConfig, layers: list[LoraLayer]):
+    ``phi`` is the only store of the adapters: B_0, A_0, B_1, A_1 back to
+    back, each row-major.  Base weights and adapters start at zero.
+    """
+
+    def __init__(self, config: ModelConfig):
         self.config = config
-        self.layers = layers
+        shapes = [(config.hidden_dim, config.input_dim), (config.n_classes, config.hidden_dim)]
+        self._phi = _zeros_64(sum((d + k) * config.rank for d, k in shapes))
+        self.layers, offset = [], 0
+        for d, k in shapes:
+            self.layers.append(LoraLayer(np.zeros((d, k)), config.rank, config.alpha, self._phi, offset))
+            offset += (d + k) * config.rank
+
+    def __setstate__(self, state):
+        """A copy (deepcopy, pickle, copy.copy) gets its own aligned phi and
+        new layers viewing it, so it never rebinds the original's layers."""
+        self.__dict__.update(state, _phi=_zeros_64(state["_phi"].size))
+        self._phi[...] = state["_phi"]
+        self.layers = [LoraLayer(l.W0, l.rank, l.alpha, self._phi, l.offset) for l in self.layers]
+
+    @property
+    def phi(self) -> np.ndarray:
+        return self._phi
 
 
 def build_model(config: ModelConfig, seed: int = 0) -> TinyMlp:
     """Construct a model with random base weights, B = 0 and small uniform A
     (the adapted model starts identical to the base)."""
     rng = np.random.default_rng([seed, 0xBA5E])
-    shapes = [
-        (config.hidden_dim, config.input_dim),
-        (config.n_classes, config.hidden_dim),
-    ]
-    layers = []
-    for d, k in shapes:
-        W0 = rng.standard_normal((d, k)) / np.sqrt(k)
-        layer = LoraLayer(W0, config.rank, config.alpha)
+    model = TinyMlp(config)
+    for layer in model.layers:
+        d, k = layer.W0.shape
+        layer.W0[...] = rng.standard_normal((d, k)) / np.sqrt(k)
         half_width = config.adapter_init_scale / np.sqrt(k)
-        layer.A = rng.uniform(-half_width, half_width, size=(config.rank, k))
-        layers.append(layer)
-    return TinyMlp(config, layers)
+        layer.A[...] = rng.uniform(-half_width, half_width, size=(config.rank, k))
+    return model
 
 
-# --- adapter parameter flattening -------------------------------------------
-
-@dataclass(frozen=True)
-class LayoutEntry:
-    layer: int
-    which: str  # "B" or "A"
-    shape: tuple[int, int]
-    offset: int
-
-
-@dataclass
-class AdapterParams:
-    """Flat adapter vector phi plus the layout needed to scatter it back."""
-
-    phi: np.ndarray
-    layout: tuple[LayoutEntry, ...] = field(repr=False, default=())
-
-
-def adapter_layout(model: TinyMlp) -> tuple[LayoutEntry, ...]:
-    entries = []
-    offset = 0
-    for i, layer in enumerate(model.layers):
-        for which, mat in (("B", layer.B), ("A", layer.A)):
-            entries.append(LayoutEntry(i, which, mat.shape, offset))
-            offset += mat.size
-    return tuple(entries)
-
+# --- the flat adapter vector --------------------------------------------------
 
 def adapter_dim(model: TinyMlp) -> int:
-    return sum(layer.B.size + layer.A.size for layer in model.layers)
+    return model.phi.size
 
 
-def get_adapter_params(model: TinyMlp) -> AdapterParams:
-    layout = adapter_layout(model)
-    phi = np.concatenate([
-        getattr(model.layers[e.layer], e.which).ravel() for e in layout
-    ]) if layout else np.zeros(0)
-    return AdapterParams(phi=phi, layout=layout)
+def get_adapter_params(model: TinyMlp) -> np.ndarray:
+    """A snapshot of phi; later writes to the model do not alter it."""
+    return model.phi.copy()
 
 
 def set_adapter_params(model: TinyMlp, phi: np.ndarray):
+    """Write phi into the model in place, moving every layer's B and A."""
     phi = np.asarray(phi, dtype=np.float64)
-    layout = adapter_layout(model)
-    expected = adapter_dim(model)
-    if phi.shape != (expected,):
-        raise ValueError(f"phi has shape {phi.shape}, expected ({expected},)")
-    for e in layout:
-        block = phi[e.offset : e.offset + e.shape[0] * e.shape[1]]
-        setattr(model.layers[e.layer], e.which, block.reshape(e.shape).copy())
+    if phi.shape != model.phi.shape:
+        raise ValueError(f"phi has shape {phi.shape}, expected {model.phi.shape}")
+    model.phi[...] = phi
 
 
 def _flatten_blocks(blocks: list[np.ndarray]) -> np.ndarray:
@@ -210,6 +222,17 @@ def _loss_and_weight_grads(model: TinyMlp, X, y, weights=None):
     return loss, [dW1, dW2]
 
 
+def _pull_back(model: TinyMlp, dWs: list[np.ndarray]) -> np.ndarray:
+    """Adapter gradient from per-layer effective-weight gradients: per layer
+    grad_B = (alpha/r) dW A' and grad_A = (alpha/r) B' dW."""
+    blocks = []
+    for layer, dW in zip(model.layers, dWs):
+        s = layer.scaling
+        blocks.append(s * (dW @ layer.A.T))
+        blocks.append(s * (layer.B.T @ dW))
+    return _flatten_blocks(blocks)
+
+
 def backward(model: TinyMlp, X, y, weights=None) -> tuple[float, np.ndarray]:
     """Mean-over-batch loss and adapter gradient g_phi (flat, length d_phi).
 
@@ -217,12 +240,7 @@ def backward(model: TinyMlp, X, y, weights=None) -> tuple[float, np.ndarray]:
     ``weights`` may carry precomputed ``effective_weights(model)``.
     """
     loss, dWs = _loss_and_weight_grads(model, X, y, weights)
-    blocks = []
-    for layer, dW in zip(model.layers, dWs):
-        s = layer.scaling
-        blocks.append(s * (dW @ layer.A.T))  # grad wrt B
-        blocks.append(s * (layer.B.T @ dW))  # grad wrt A
-    return loss, _flatten_blocks(blocks)
+    return loss, _pull_back(model, dWs)
 
 
 def weight_space_gradient(model: TinyMlp, X, y) -> np.ndarray:
@@ -235,40 +253,28 @@ def weight_space_gradient(model: TinyMlp, X, y) -> np.ndarray:
 
 def _split_weight_space(model: TinyMlp, g_full: np.ndarray) -> list[np.ndarray]:
     g_full = np.asarray(g_full, dtype=np.float64)
-    blocks = []
-    offset = 0
-    for layer in model.layers:
-        size = layer.W0.size
-        blocks.append(g_full[offset : offset + size].reshape(layer.W0.shape))
-        offset += size
-    if offset != g_full.shape[0]:
-        raise ValueError(f"full-space gradient has length {g_full.shape[0]}, expected {offset}")
-    return blocks
+    shapes = [layer.W0.shape for layer in model.layers]
+    sizes = [d * k for d, k in shapes]
+    if g_full.shape != (sum(sizes),):
+        raise ValueError(f"full-space gradient has shape {g_full.shape}, expected ({sum(sizes)},)")
+    return [b.reshape(shape) for b, shape in zip(np.split(g_full, np.cumsum(sizes)[:-1]), shapes)]
+
 
 def jacobian_transpose_apply(model: TinyMlp, g_full) -> np.ndarray:
     """Pull a full-weight-space gradient back to adapter space: per layer
     grad_B = (alpha/r) Ghat A' and grad_A = (alpha/r) B' Ghat."""
-    blocks = []
-    for layer, Ghat in zip(model.layers, _split_weight_space(model, g_full)):
-        s = layer.scaling
-        blocks.append(s * (Ghat @ layer.A.T))
-        blocks.append(s * (layer.B.T @ Ghat))
-    return _flatten_blocks(blocks)
+    return _pull_back(model, _split_weight_space(model, g_full))
 
 
 def jacobian_apply(model: TinyMlp, dphi) -> np.ndarray:
     """Push an adapter direction dphi to the induced effective-weight
     direction: per layer (alpha/r) (dB A + B dA)."""
     dphi = np.asarray(dphi, dtype=np.float64)
-    expected = adapter_dim(model)
-    if dphi.shape != (expected,):
-        raise ValueError(f"dphi has shape {dphi.shape}, expected ({expected},)")
+    if dphi.shape != model.phi.shape:
+        raise ValueError(f"dphi has shape {dphi.shape}, expected {model.phi.shape}")
     blocks = []
-    layout = adapter_layout(model)
-    for e_B, e_A in zip(layout[0::2], layout[1::2]):
-        layer = model.layers[e_B.layer]
-        dB = dphi[e_B.offset : e_B.offset + e_B.shape[0] * e_B.shape[1]].reshape(e_B.shape)
-        dA = dphi[e_A.offset : e_A.offset + e_A.shape[0] * e_A.shape[1]].reshape(e_A.shape)
+    for layer in model.layers:
+        dB, dA = layer._blocks(dphi)
         blocks.append(layer.scaling * (dB @ layer.A + layer.B @ dA))
     return _flatten_blocks(blocks)
 
@@ -299,15 +305,7 @@ def save_checkpoint(model: TinyMlp, path: str):
     """
     meta = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
-        "config": {
-            "input_dim": model.config.input_dim,
-            "hidden_dim": model.config.hidden_dim,
-            "n_classes": model.config.n_classes,
-            "rank": model.config.rank,
-            "alpha": model.config.alpha,
-            "adapter_init_scale": model.config.adapter_init_scale,
-            "activation": model.config.activation,
-        },
+        "config": dataclasses.asdict(model.config),
         "n_layers": len(model.layers),
     }
     arrays = {"meta": np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)}
@@ -323,11 +321,13 @@ def load_checkpoint(path: str) -> TinyMlp:
         meta = json.loads(bytes(data["meta"]).decode("utf-8"))
         if meta["format_version"] != CHECKPOINT_FORMAT_VERSION:
             raise ValueError(f"unsupported checkpoint format version {meta['format_version']!r}")
-        config = ModelConfig(**meta["config"])
-        layers = []
-        for i in range(meta["n_layers"]):
-            layer = LoraLayer(data[f"W0_{i}"].astype(np.float64), config.rank, config.alpha)
-            layer.B = data[f"B_{i}"].astype(np.float64)
-            layer.A = data[f"A_{i}"].astype(np.float64)
-            layers.append(layer)
-    return TinyMlp(config, layers)
+        model = TinyMlp(ModelConfig(**meta["config"]))
+        if meta["n_layers"] != len(model.layers):
+            raise ValueError(f"checkpoint has {meta['n_layers']} layers, expected {len(model.layers)}")
+        for i, layer in enumerate(model.layers):
+            for name, dst in (("W0", layer.W0), ("B", layer.B), ("A", layer.A)):
+                src = data[f"{name}_{i}"]
+                if src.shape != dst.shape:
+                    raise ValueError(f"{name}_{i} has shape {src.shape}, expected {dst.shape}")
+                dst[...] = src
+    return model

@@ -2,7 +2,11 @@
 
 Times each projector over a grid of (m, d_phi, K) cells with warmup
 calls discarded and emits log-scale-friendly CSV rows (raw positive
-seconds, per-cell mean/std/min).  Two measurement choices matter here:
+seconds, per-cell mean/std/min).  Three measurement choices matter here:
+
+* The grid is timed round-robin, reversing the cell order every round,
+  so a slow spell of the host hits all cells alike instead of bending
+  the fit at whichever cells it fell on.
 
 * Fits and predictions use the per-cell minimum.  On a shared machine
   individual calls can stall by an order of magnitude, and the fastest
@@ -19,6 +23,7 @@ seconds, per-cell mean/std/min).  Two measurement choices matter here:
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 
@@ -56,32 +61,39 @@ def _instance(m: int, d: int, seed: int = 0):
     return ConstraintMatrix(G, normalized=True), rng.standard_normal(d)
 
 
+def time_round_robin(fns, warmup: int = 3, reps: int = 9) -> list[tuple[float, float, float]]:
+    """(mean, std, min) wall time of each fn, timed in rounds of one call
+    each; the warmup rounds are discarded and the call order reverses
+    from one round to the next."""
+    times = [[] for _ in fns]
+    for r in range(warmup + reps):
+        for i in range(len(fns)) if r % 2 == 0 else range(len(fns) - 1, -1, -1):
+            t0 = time.perf_counter()
+            fns[i]()
+            if r >= warmup:
+                times[i].append(time.perf_counter() - t0)
+    return [(float(np.mean(t)), float(np.std(t)), float(np.min(t))) for t in times]
+
+
 def time_call(fn, warmup: int = 3, reps: int = 9) -> tuple[float, float, float]:
     """(mean, std, min) of the wall time of fn() after discarding warmups."""
-    for _ in range(warmup):
-        fn()
-    times = []
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    arr = np.array(times)
-    return float(arr.mean()), float(arr.std()), float(arr.min())
+    return time_round_robin([fn], warmup, reps)[0]
 
 
 def bench_igem_grid(
     ms=DEFAULT_MS, ds=DEFAULT_DS, ks=DEFAULT_KS, warmup: int = 3, reps: int = 9, seed: int = 0
 ) -> list[BenchRow]:
-    rows = []
+    """Time pgd_project on every (m, d, K) cell, all cells round-robin."""
+    cells, calls = [], []
     for m in ms:
         for d in ds:
             G, g = _instance(m, d, seed)
             eta = 1.0 / true_sigma_max(G)
             for K in ks:
-                warm = DualState.cold(m)
-                mean, std, best = time_call(lambda: pgd_project(g, G, warm, eta, K), warmup, reps)
-                rows.append(BenchRow("igem", m, d, K, mean, std, best, reps))
-    return rows
+                cells.append((m, d, K))
+                calls.append(functools.partial(pgd_project, g, G, DualState.cold(m), eta, K))
+    stats = time_round_robin(calls, warmup, reps)
+    return [BenchRow("igem", m, d, K, *st, reps) for (m, d, K), st in zip(cells, stats)]
 
 
 def linear_fit_r2(rows: list[BenchRow]) -> tuple[float, float, float]:

@@ -7,7 +7,8 @@ Subcommands:
   gen-data  sample a synthetic drift stream and dump it as CSV
 
 Flags mirror the TrainConfig and StreamSpec field names.  Worker count
-for the run grid comes from the GEMPROJ_WORKERS environment variable.
+for the run grid comes from the GEMPROJ_WORKERS environment variable
+(an integer >= 1, clamped to the number of cells).
 Exit codes: 0 success, 1 verification failure, 2 usage error.
 """
 
@@ -126,8 +127,6 @@ def cmd_run(args) -> int:
 
     if args.data is not None and not os.path.exists(args.data):
         raise CliError(f"dataset file not found: {args.data}")
-    out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
 
     cells = []
     for method in methods:
@@ -135,7 +134,13 @@ def cmd_run(args) -> int:
             cfg = _build_train_config(train_base, method, seed)  # validate up front
             cells.append(cfg.to_dict())
 
-    workers = int(os.environ.get("GEMPROJ_WORKERS", "1"))
+    raw = os.environ.get("GEMPROJ_WORKERS", "1")
+    if not raw.strip().isdigit() or int(raw) < 1:
+        raise CliError(f"GEMPROJ_WORKERS must be an integer >= 1, got {raw!r}")
+    workers = min(int(raw), len(cells))
+    out_dir = args.out
+    os.makedirs(out_dir, exist_ok=True)
+
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outputs = list(pool.map(execute_run, cells,
@@ -248,10 +253,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return USAGE_ERROR
-    except (ValueError, FileNotFoundError) as e:
+    except (CliError, ValueError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -155,11 +155,23 @@ class ProjectionResult:
     wall_time: float = field(repr=False, default=0.0)
 
 
-def _check_dims(lam: np.ndarray, G: ConstraintMatrix, g: np.ndarray):
-    if lam.shape[0] != G.rows:
-        raise ValueError(f"lambda has length {lam.shape[0]}, expected m={G.rows}")
+def _checked(G: ConstraintMatrix, g, lam=None) -> tuple[np.ndarray, np.ndarray | None]:
+    """g (and lam, when given) as float vectors whose lengths match G; every
+    entry point calls this before any m = 0 shortcut."""
+    g = _as_vector(g, "g")
     if g.shape[0] != G.dim:
         raise ValueError(f"gradient has length {g.shape[0]}, expected d={G.dim}")
+    if lam is not None:
+        lam = _as_vector(lam, "lam")
+        if lam.shape[0] != G.rows:
+            raise ValueError(f"lambda has length {lam.shape[0]}, expected m={G.rows}")
+    return g, lam
+
+
+def _dual_at(A: np.ndarray, Gg: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, float]:
+    """u = G' lam and the dual value F(lam) = 0.5 ||u||^2 + (G g)' lam."""
+    u = A.T @ lam
+    return u, float(0.5 * u.dot(u) + Gg.dot(lam))
 
 
 def dual_objective(lam, G: ConstraintMatrix, g) -> float:
@@ -167,24 +179,23 @@ def dual_objective(lam, G: ConstraintMatrix, g) -> float:
 
     Uses two matrix-vector products; G G' is never materialized.
     """
-    lam = _as_vector(lam, "lam")
-    g = _as_vector(g, "g")
-    _check_dims(lam, G, g)
-    u = G.data.T @ lam
-    return float(0.5 * u.dot(u) + (G.data @ g).dot(lam))
+    g, lam = _checked(G, g, lam)
+    return _dual_at(G.data, G.data @ g, lam)[1]
 
 
 def dual_gradient(lam, G: ConstraintMatrix, g) -> np.ndarray:
     """Gradient of the dual: (G G') lam + G g, computed as G (G' lam) + G g."""
-    lam = _as_vector(lam, "lam")
-    g = _as_vector(g, "g")
-    _check_dims(lam, G, g)
+    g, lam = _checked(G, g, lam)
     return G.data @ (G.data.T @ lam) + G.data @ g
 
 
+def _identity(g: np.ndarray, final: DualState, t0: float) -> ProjectionResult:
+    """The result with no constraints: g itself, no multipliers, no work."""
+    return ProjectionResult(g.copy(), final, dual_value=0.0, iterations_used=0,
+                            max_violation=0.0, wall_time=time.perf_counter() - t0)
+
+
 def _max_violation(G: ConstraintMatrix, g_tilde: np.ndarray) -> float:
-    if G.rows == 0:
-        return 0.0
     return float(max(0.0, -(G.data @ g_tilde).min()))
 
 
@@ -204,7 +215,7 @@ def pgd_project(
     is enabled the clip floor becomes memory_strength instead of zero.
     """
     t0 = time.perf_counter()
-    g = _as_vector(g, "g")
+    g, _ = _checked(G, g, warm.lam)
     if eta <= 0.0:
         raise ValueError("eta must be > 0")
     if K < 1:
@@ -214,18 +225,9 @@ def pgd_project(
         raise ValueError("non-finite values in gradient")
     if warm.lam.size and warm.lam.min() < 0.0:
         raise ValueError("warm-start lambda has a negative component")
-    if warm.lam.shape[0] != G.rows:
-        raise ValueError(f"warm lambda length {warm.lam.shape[0]} != m={G.rows}")
 
     if G.rows == 0:
-        return ProjectionResult(
-            projected_gradient=g.copy(),
-            final_lambda=DualState(np.zeros(0), origin="warm", task_index=warm.task_index),
-            dual_value=0.0,
-            iterations_used=0,
-            max_violation=0.0,
-            wall_time=time.perf_counter() - t0,
-        )
+        return _identity(g, DualState(np.zeros(0), origin="warm", task_index=warm.task_index), t0)
 
     floor = margin.memory_strength if (margin is not None and margin.enabled) else 0.0
     A = G.data
@@ -235,9 +237,8 @@ def pgd_project(
         r = A @ (A.T @ lam) + Gg
         lam = np.maximum(floor, lam - eta * r)
 
-    u = A.T @ lam
+    u, dual_value = _dual_at(A, Gg, lam)
     g_tilde = g + u
-    dual_value = float(0.5 * u.dot(u) + Gg.dot(lam))
     return ProjectionResult(
         projected_gradient=g_tilde,
         final_lambda=DualState(lam, origin="warm", task_index=warm.task_index),
@@ -259,27 +260,18 @@ def exact_qp_project(g, G: ConstraintMatrix, enum_limit: int = DEFAULT_ENUM_LIMI
     KKT conditions of the cone projection.
     """
     t0 = time.perf_counter()
-    g = _as_vector(g, "g")
     m = G.rows
     if m > enum_limit:
         raise ActiveSetCapacityError(
             f"m={m} exceeds the active-set enumeration limit {enum_limit}; "
             "use pgd_project for large constraint counts"
         )
-    if g.shape[0] != G.dim:
-        raise ValueError(f"gradient has length {g.shape[0]}, expected d={G.dim}")
+    g, _ = _checked(G, g)
     if not np.all(np.isfinite(g)):
         raise ValueError("non-finite values in gradient")
 
     if m == 0:
-        return ProjectionResult(
-            projected_gradient=g.copy(),
-            final_lambda=DualState(np.zeros(0)),
-            dual_value=0.0,
-            iterations_used=0,
-            max_violation=0.0,
-            wall_time=time.perf_counter() - t0,
-        )
+        return _identity(g, DualState(np.zeros(0)), t0)
 
     A = G.data
     Gg = A @ g
@@ -318,12 +310,10 @@ def exact_qp_project(g, G: ConstraintMatrix, enum_limit: int = DEFAULT_ENUM_LIMI
     if best_gt is None:
         raise ValueError("active-set enumeration found no feasible candidate (numerical breakdown)")
 
-    u = A.T @ best_lam
-    dual_value = float(0.5 * u.dot(u) + Gg.dot(best_lam))
     return ProjectionResult(
         projected_gradient=best_gt,
         final_lambda=DualState(np.maximum(best_lam, 0.0)),
-        dual_value=dual_value,
+        dual_value=_dual_at(A, Gg, best_lam)[1],
         iterations_used=n_evaluated,
         max_violation=_max_violation(G, best_gt),
         wall_time=time.perf_counter() - t0,
@@ -357,10 +347,8 @@ def violation_check(g, G: ConstraintMatrix, tol: float = 0.0) -> tuple[bool, flo
     """
     if tol < 0.0:
         raise ValueError("tol must be >= 0")
-    g = _as_vector(g, "g")
+    g, _ = _checked(G, g)
     if G.rows == 0:
         return (False, np.inf)
-    if g.shape[0] != G.dim:
-        raise ValueError(f"gradient has length {g.shape[0]}, expected d={G.dim}")
     worst = float((G.data @ g).min())
     return (worst < -tol, worst)

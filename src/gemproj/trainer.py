@@ -306,8 +306,7 @@ def train_step(state: TrainerState, X, y) -> StepRecord:
         if projected:
             state.log.timing.add(proj_time)
 
-    phi = am.get_adapter_params(state.model).phi
-    new_phi = optimizer_step(phi, g_tilde, state.opt, cfg)
+    new_phi = optimizer_step(state.model.phi, g_tilde, state.opt, cfg)
     am.set_adapter_params(state.model, new_phi)
 
     state.buffers.insert(state.task_index, X, y)

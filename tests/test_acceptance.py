@@ -122,7 +122,7 @@ def test_criterion_04_kkt_certification():
 def test_criterion_05_gradient_correctness_default_model():
     model = am.build_model(am.ModelConfig(), seed=0)
     rng = np.random.default_rng(20204)
-    phi = am.get_adapter_params(model).phi
+    phi = am.get_adapter_params(model)
     am.set_adapter_params(model, phi + 0.05 * rng.standard_normal(phi.size))
     X = rng.standard_normal((8, model.config.input_dim))
     y = rng.integers(0, model.config.n_classes, size=8)

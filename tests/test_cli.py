@@ -206,3 +206,38 @@ def test_cli_parallel_workers_match_serial(tmp_path, monkeypatch):
         doc["environment"].pop("monotonic_clock_resolution_s", None)
         results[tag] = json.dumps(doc, sort_keys=True)
     assert results["serial"] == results["parallel"]
+
+
+@pytest.mark.parametrize("value", ["two", "1.5", "", "0", "-3"])
+def test_cli_rejects_bad_worker_count(tmp_path, monkeypatch, capsys, value):
+    monkeypatch.setenv("GEMPROJ_WORKERS", value)
+    assert run_cli("run", "--methods", "naive", "--seeds", "0", "--out", str(tmp_path)) == 2
+    assert "GEMPROJ_WORKERS must be an integer >= 1" in capsys.readouterr().err
+
+
+def test_cli_worker_pool_is_clamped_to_cell_count(tmp_path, monkeypatch):
+    import gemproj.cli as cli
+
+    sizes = []
+
+    class RecordingPool:
+        """Runs the cells in this process and records the requested size."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setenv("GEMPROJ_WORKERS", "64")
+    assert run_cli("run", "--methods", "naive,igem", "--seeds", "0", "--out", str(tmp_path),
+                   "--n-per-experience", "200", "--feature-dim", "8") == 0
+    assert sizes == [2]
+    assert (tmp_path / "run_igem_seed0.json").exists()

@@ -263,6 +263,25 @@ def test_violation_check_empty_matrix():
     assert violated is False and worst == np.inf
 
 
+# --- dimension checks --------------------------------------------------------------
+
+ENTRY_POINTS = {
+    "pgd_project": lambda g, G: pgd_project(g, G, DualState.cold(G.rows), 0.5, 3),
+    "exact_qp_project": lambda g, G: exact_qp_project(g, G),
+    "violation_check": lambda g, G: violation_check(g, G),
+    "dual_objective": lambda g, G: dual_objective(np.zeros(G.rows), G, g),
+    "dual_gradient": lambda g, G: dual_gradient(np.zeros(G.rows), G, g),
+}
+
+
+@pytest.mark.parametrize("m", [0, 3])
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+def test_wrong_length_gradient_is_rejected(name, m):
+    G = ConstraintMatrix.empty(5) if m == 0 else cm(np.eye(m, 5))
+    with pytest.raises(ValueError, match="gradient has length 4, expected d=5"):
+        ENTRY_POINTS[name](np.ones(4), G)
+
+
 # --- ConstraintMatrix / DualState ------------------------------------------------
 
 def test_from_rows_normalizes_and_drops_zero_rows():

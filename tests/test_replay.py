@@ -92,7 +92,7 @@ def small_model(seed=0):
         am.ModelConfig(input_dim=4, hidden_dim=3, n_classes=3, rank=2, alpha=8.0), seed=seed
     )
     rng = np.random.default_rng(seed + 50)
-    phi = am.get_adapter_params(model).phi
+    phi = am.get_adapter_params(model)
     am.set_adapter_params(model, phi + 0.05 * rng.standard_normal(phi.size))
     return model
 
@@ -247,7 +247,7 @@ def test_rebuild_after_parameter_step_changes_g():
     model = small_model()
     buf = _filled_buffer(model)
     stale = build_constraint_matrix(buf, model, [0, 1])
-    phi = am.get_adapter_params(model).phi
+    phi = am.get_adapter_params(model)
     am.set_adapter_params(model, phi - 0.05 * np.sign(phi))
     fresh = build_constraint_matrix(buf, model, [0, 1])
     assert np.abs(fresh.data - stale.data).max() > 0.0
