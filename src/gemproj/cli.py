@@ -9,7 +9,9 @@ Subcommands:
 Flags mirror the TrainConfig and StreamSpec field names.  Worker count
 for the run grid comes from the GEMPROJ_WORKERS environment variable
 (an integer >= 1, clamped to the number of cells).
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure, 2 usage error, 3 a run
+diverged (its cell writes run_<method>_seed<seed>.failed.json with the
+config echo and diagnostics; the other cells still write their documents).
 """
 
 from __future__ import annotations
@@ -26,14 +28,16 @@ from . import verify as verify_mod
 from .datagen import StreamSpec, dump_csv, generate_stream, ingest_csv
 from .results import (
     build_aggregate,
+    build_run_failure,
     build_run_result,
     write_curves_csv,
     write_json,
 )
-from .trainer import TrainConfig, prepare_model, run_experiences
+from .trainer import NonFiniteLossError, TrainConfig, prepare_model, run_experiences
 
-USAGE_ERROR = 2
 VERIFY_FAILURE = 1
+USAGE_ERROR = 2
+RUN_DIVERGED = 3
 
 
 class CliError(Exception):
@@ -95,7 +99,9 @@ def _build_train_config(base: dict, method: str, seed: int) -> TrainConfig:
 
 
 def execute_run(train_dict: dict, stream_dict: dict, data_csv: str | None):
-    """One (method, seed) cell; top-level so grid workers can pickle it."""
+    """One (method, seed) cell; top-level so grid workers can pickle it.
+    Returns (result document, run log), or (failure document, None) when
+    the run diverged."""
     config = TrainConfig.from_dict(train_dict)
     spec = StreamSpec(**{**stream_dict, "seed": config.seed,
                          "n_experiences": config.n_experiences})
@@ -108,7 +114,10 @@ def execute_run(train_dict: dict, stream_dict: dict, data_csv: str | None):
     else:
         stream = generate_stream(spec)
     model = prepare_model(spec, config.seed)
-    matrix, log = run_experiences(config, stream, model)
+    try:
+        matrix, log = run_experiences(config, stream, model)
+    except NonFiniteLossError as e:
+        return build_run_failure(config, spec, e), None
     return build_run_result(config, spec, matrix, log), log
 
 
@@ -149,15 +158,24 @@ def cmd_run(args) -> int:
         outputs = [execute_run(c, stream_base, args.data) for c in cells]
 
     per_method: dict[str, list[dict]] = {}
+    diverged = []
     for cfg_dict, (doc, log) in zip(cells, outputs):
         method, seed = cfg_dict["method"], cfg_dict["seed"]
         stem = f"run_{method}_seed{seed}"
+        if log is None:
+            path = os.path.join(out_dir, stem + ".failed.json")
+            write_json(path, doc)
+            print(f"wrote {stem}.failed.json  {doc['error']}")
+            diverged.append(f"{stem} diverged: {doc['error']} (see {path})")
+            continue
         write_json(os.path.join(out_dir, stem + ".json"), doc)
         write_curves_csv(os.path.join(out_dir, stem + "_curves.csv"), log)
         per_method.setdefault(method, []).append(doc)
         print(f"wrote {stem}.json  avg_acc={doc['metrics']['avg_acc']:.4f}")
     write_json(os.path.join(out_dir, "aggregate.json"), build_aggregate(per_method))
-    print(f"wrote aggregate.json ({len(cells)} runs)")
+    print(f"wrote aggregate.json ({len(cells) - len(diverged)} runs)")
+    if diverged:
+        raise NonFiniteLossError("; ".join(diverged))
     return 0
 
 
@@ -253,9 +271,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (CliError, ValueError, FileNotFoundError) as e:
+    except (CliError, ValueError, FileNotFoundError, NonFiniteLossError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return USAGE_ERROR
+        return RUN_DIVERGED if isinstance(e, NonFiniteLossError) else USAGE_ERROR
 
 
 if __name__ == "__main__":

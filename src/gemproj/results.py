@@ -23,7 +23,7 @@ import numpy as np
 
 from .datagen import StreamSpec
 from .metrics import AccuracyMatrix, aggregate, compute_all
-from .trainer import RunLog, TrainConfig
+from .trainer import NonFiniteLossError, RunLog, TrainConfig
 
 SCHEMA_VERSION = "1"
 
@@ -68,6 +68,20 @@ def build_run_result(
         "n_steps": len(log.steps),
         "diagnostics": log.diagnostics,
         **({"replay_buffers": log.buffer_dump} if log.buffer_dump is not None else {}),
+    }
+
+
+def build_run_failure(config: TrainConfig, spec: StreamSpec, error: NonFiniteLossError) -> dict:
+    """Document for a run that diverged: the config echo, the error and the
+    run log's diagnostic records."""
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "kind": "run_failure",
+        "config": config.to_dict(),
+        "stream_spec": dataclasses.asdict(spec),
+        "environment": environment_fingerprint(),
+        "error": str(error),
+        "diagnostics": error.diagnostics,
     }
 
 

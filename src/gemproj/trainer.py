@@ -38,8 +38,24 @@ OPTIMIZERS = ("sgd", "adamw")
 
 
 class NonFiniteLossError(RuntimeError):
-    """Raised when a step produces a non-finite loss; the run log already
-    holds a diagnostic record when this fires."""
+    """Raised when a step produces a non-finite loss, gradient or parameter
+    update.  When ``train_step`` raises it, the run log already holds a
+    diagnostic record, and ``diagnostics`` carries the log's records."""
+
+    def __init__(self, message: str, diagnostics=()):
+        super().__init__(message)
+        self.diagnostics = list(diagnostics)
+
+
+# (fields, rule, check) for TrainConfig; each check fails on NaN as well
+_RANGES = (
+    (("lr", "adamw_eps"), "> 0", lambda v: v > 0),
+    (("train_mb_size", "eval_mb_size", "train_epochs", "n_experiences", "power_iters",
+      "proj_interval"), ">= 1", lambda v: v >= 1),
+    (("weight_decay", "violation_tol", "eval_every", "qp_enum_limit"), ">= 0", lambda v: v >= 0),
+    (("adamw_beta1", "adamw_beta2"), "in [0, 1)", lambda v: 0 <= v < 1),
+    (("stepsize_safety",), "in (0, 1]", lambda v: 0 < v <= 1),
+)
 
 
 @dataclass(frozen=True)
@@ -77,12 +93,13 @@ class TrainConfig:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
-        if self.lr <= 0.0:
-            raise ValueError("lr must be > 0")
         if self.method == "igem" and self.pgd_iterations < 1:
             raise ValueError("pgd_iterations must be >= 1 for igem")
-        if self.proj_interval < 1:
-            raise ValueError("proj_interval must be >= 1")
+        for names, rule, ok in _RANGES:
+            for name in names:
+                value = getattr(self, name)
+                if not ok(value):
+                    raise ValueError(f"{name} must be {rule}, got {value!r}")
 
     def margin(self) -> MarginConfig:
         return MarginConfig(memory_strength=self.memory_strength, enabled=self.margin_enabled)
@@ -243,17 +260,23 @@ def _agem_reference_gradient(state: TrainerState, past: list[int]) -> np.ndarray
     return g_ref
 
 
+def _diverged(state: TrainerState, loss: float, reason: str) -> NonFiniteLossError:
+    """Record a diagnostic for the current step and return the error to raise
+    (a non-finite loss is kept as its repr: the record must stay valid JSON)."""
+    loss = float(loss)
+    state.log.diagnostics.append({"task": state.task_index, "step": state.global_step,
+                                  "loss": loss if np.isfinite(loss) else repr(loss), "reason": reason})
+    return NonFiniteLossError(f"{reason} at task {state.task_index} step {state.global_step}",
+                              state.log.diagnostics)
+
+
 def train_step(state: TrainerState, X, y) -> StepRecord:
     """One step of the training loop (loss, constraint build, projection,
     optimizer update, buffer update, warm-start carryover)."""
     cfg = state.config
     loss, g = am.backward(state.model, X, y)
     if not np.isfinite(loss) or not np.all(np.isfinite(g)):
-        state.log.diagnostics.append(
-            {"task": state.task_index, "step": state.global_step, "loss": loss,
-             "reason": "non-finite loss or gradient"}
-        )
-        raise NonFiniteLossError(f"non-finite loss at task {state.task_index} step {state.global_step}")
+        raise _diverged(state, loss, "non-finite loss or gradient")
 
     past = [t for t in state.buffers.tasks() if t < state.task_index]
     projecting = bool(past) and cfg.method != "naive"
@@ -306,7 +329,10 @@ def train_step(state: TrainerState, X, y) -> StepRecord:
         if projected:
             state.log.timing.add(proj_time)
 
-    new_phi = optimizer_step(state.model.phi, g_tilde, state.opt, cfg)
+    try:
+        new_phi = optimizer_step(state.model.phi, g_tilde, state.opt, cfg)
+    except NonFiniteLossError as e:
+        raise _diverged(state, loss, str(e)) from None
     am.set_adapter_params(state.model, new_phi)
 
     state.buffers.insert(state.task_index, X, y)

@@ -14,21 +14,14 @@ from gemproj.bench import (
     linear_fit_r2,
 )
 from gemproj.datagen import StreamSpec, generate_stream
-from gemproj.metrics import (
-    AccuracyMatrix,
-    avg_acc,
-    bwt,
-    compute_all,
-    forgetting,
-    fwt,
-)
-from gemproj.projector import DualState, dual_objective, exact_qp_project, pgd_project
+from gemproj.metrics import avg_acc, bwt, forgetting
 from gemproj.trainer import TrainConfig, prepare_model, run_experiences
 from gemproj.verify import (
-    finite_difference_gradient,
-    random_instance,
-    random_instance_unrestricted,
-    true_sigma_max,
+    descent_increase,
+    gradient_errors,
+    oracle_sweep,
+    rate_bound_excess,
+    two_task_fixture_errors,
 )
 
 SEEDS = (0, 2, 5, 7, 11)
@@ -52,16 +45,8 @@ def full_runs():
 
 
 def test_criterion_01_oracle_equivalence_1000_instances():
-    rng = np.random.default_rng(20200)
     t0 = time.perf_counter()
-    worst = 0.0
-    for _ in range(1000):
-        G, g = random_instance(rng)
-        eta = 1.0 / true_sigma_max(G)
-        gt_pgd = pgd_project(g, G, DualState.cold(G.rows), eta=eta, K=500).projected_gradient
-        gt_ex = exact_qp_project(g, G).projected_gradient
-        rel = np.linalg.norm(gt_pgd - gt_ex) / max(1.0, np.linalg.norm(gt_ex))
-        worst = max(worst, rel)
+    worst = oracle_sweep(20200, 1000).rel_error
     elapsed = time.perf_counter() - t0
     print(f"criterion 1: worst relative error {worst:.2e} (tol 1e-6), {elapsed:.1f}s")
     assert worst <= 1e-6
@@ -69,54 +54,24 @@ def test_criterion_01_oracle_equivalence_1000_instances():
 
 
 def test_criterion_02_convergence_rate_bound():
-    rng = np.random.default_rng(20201)
-    worst_excess = -np.inf
-    for _ in range(200):
-        G, g = random_instance_unrestricted(rng)
-        L = true_sigma_max(G)
-        lam_star = exact_qp_project(g, G).final_lambda.lam
-        f_star = dual_objective(lam_star, G, g)
-        dist0_sq = float(lam_star.dot(lam_star))
-        for K in (1, 2, 4, 8, 16, 32):
-            res = pgd_project(g, G, DualState.cold(G.rows), eta=1.0 / L, K=K)
-            gap = res.dual_value - f_star
-            worst_excess = max(worst_excess, gap - (L * dist0_sq / (2.0 * K) + 1e-9))
+    worst_excess = rate_bound_excess(20201, 200, (1, 2, 4, 8, 16, 32))
     print(f"criterion 2: worst gap-minus-bound {worst_excess:.2e} (must be <= 0)")
     assert worst_excess <= 0.0
 
 
 def test_criterion_03_monotone_dual_descent():
-    rng = np.random.default_rng(20202)
-    worst_inc = -np.inf
-    for _ in range(200):
-        G, g = random_instance_unrestricted(rng)
-        eta = 1.0 / true_sigma_max(G)
-        state = DualState.cold(G.rows)
-        f_prev = dual_objective(state.lam, G, g)
-        for _ in range(50):
-            res = pgd_project(g, G, state, eta=eta, K=1)
-            worst_inc = max(worst_inc, res.dual_value - f_prev)
-            f_prev, state = res.dual_value, res.final_lambda
+    worst_inc = descent_increase(20202, 200, 50).max()
     print(f"criterion 3: worst per-iteration increase {worst_inc:.2e} (slack 1e-12)")
     assert worst_inc <= 1e-12
 
 
 def test_criterion_04_kkt_certification():
-    rng = np.random.default_rng(20203)
-    worst_feas, worst_nonneg, worst_comp = 0.0, 0.0, 0.0
-    for _ in range(300):
-        G, g = random_instance(rng)
-        res = exact_qp_project(g, G)
-        lam = res.final_lambda.lam
-        slack = G.data @ res.projected_gradient
-        worst_feas = max(worst_feas, float(max(0.0, -slack.min())))
-        worst_nonneg = max(worst_nonneg, float(max(0.0, -lam.min())))
-        worst_comp = max(worst_comp, float(np.abs(lam * slack).max()))
-    print(f"criterion 4: feasibility {worst_feas:.2e} (tol 1e-9), "
-          f"complementarity {worst_comp:.2e} (tol 1e-8)")
-    assert worst_feas <= 1e-9
-    assert worst_nonneg <= 1e-10
-    assert worst_comp <= 1e-8
+    w = oracle_sweep(20203, 300)
+    print(f"criterion 4: feasibility {w.feasibility:.2e} (tol 1e-9), "
+          f"complementarity {w.complementarity:.2e} (tol 1e-8)")
+    assert w.feasibility <= 1e-9
+    assert w.nonneg <= 1e-10
+    assert w.complementarity <= 1e-8
 
 
 def test_criterion_05_gradient_correctness_default_model():
@@ -127,15 +82,10 @@ def test_criterion_05_gradient_correctness_default_model():
     X = rng.standard_normal((8, model.config.input_dim))
     y = rng.integers(0, model.config.n_classes, size=8)
 
-    _, g = am.backward(model, X, y)
-    fd = finite_difference_gradient(model, X, y, step=1e-5)
-    rel = np.abs(g - fd) / np.maximum(np.abs(fd), 1e-8)
-
-    pulled = am.jacobian_transpose_apply(model, am.weight_space_gradient(model, X, y))
-    chain = float(np.abs(g - pulled).max())
-    print(f"criterion 5: worst FD relative error {rel.max():.2e} (tol 1e-4), "
+    fd_err, chain = gradient_errors(model, X, y)
+    print(f"criterion 5: worst FD relative error {fd_err:.2e} (tol 1e-4), "
           f"chain-rule gap {chain:.2e} (tol 1e-10)")
-    assert rel.max() <= 1e-4
+    assert fd_err <= 1e-4
     assert chain <= 1e-10
 
 
@@ -204,23 +154,17 @@ def test_criterion_09_accuracy_parity_and_forgetting(full_runs):
 
 
 def test_criterion_10_metrics_fixtures(full_runs):
-    R = AccuracyMatrix(np.array([[0.25, 0.25], [0.90, 0.50], [0.80, 0.85]]))
-    assert avg_acc(R) == 0.825
-    assert bwt(R) == pytest.approx(-0.1, abs=1e-15)
-    assert fwt(R) == pytest.approx(0.25, abs=1e-15)
-    assert forgetting(R) == pytest.approx(0.1, abs=1e-15)
+    errors = two_task_fixture_errors()
+    assert errors["avg_acc"] == 0.0
+    assert max(errors.values()) <= 1e-15
 
     # F = -BWT on runs where each task peaks at its own checkpoint
     runs, _ = full_runs
-    checked = 0
-    for (method, seed), (matrix, _) in runs.items():
-        T = matrix.T
-        peaked = all(matrix.R[1:T, c].argmax() == c for c in range(T - 1))
-        if peaked:
-            checked += 1
-            assert forgetting(matrix) == pytest.approx(-bwt(matrix), abs=1e-12)
-    print(f"criterion 10: T=2 fixture exact; F = -BWT verified on {checked} peaked runs")
-    assert checked > 0
+    peaked = [m for m, _ in runs.values() if all(m.R[1:m.T, c].argmax() == c for c in range(m.T - 1))]
+    for matrix in peaked:
+        assert forgetting(matrix) == pytest.approx(-bwt(matrix), abs=1e-12)
+    print(f"criterion 10: T=2 fixture exact; F = -BWT verified on {len(peaked)} peaked runs")
+    assert peaked
 
 
 def test_criterion_11_bitwise_determinism(full_runs):

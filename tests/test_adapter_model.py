@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gemproj import adapter_model as am
+from gemproj.verify import gradient_errors
 
 
 SMALL = am.ModelConfig(input_dim=4, hidden_dim=3, n_classes=3, rank=2, alpha=8.0)
@@ -73,14 +74,8 @@ def test_forward_rejects_non_finite_and_bad_dim():
 # --- backward ---------------------------------------------------------------------
 
 def test_backward_matches_central_differences():
-    model = small_model(perturb=0.05)
-    X, y = small_batch()
-    _, g = am.backward(model, X, y)
-    from gemproj.verify import finite_difference_gradient
-
-    fd = finite_difference_gradient(model, X, y, step=1e-5)
-    rel = np.abs(g - fd) / np.maximum(np.abs(fd), 1e-8)
-    assert rel.max() <= 1e-4
+    fd_err, _ = gradient_errors(small_model(perturb=0.05), *small_batch())
+    assert fd_err <= 1e-4
 
 
 def test_backward_mean_is_duplication_invariant():
@@ -108,11 +103,8 @@ def test_backward_rejects_bad_labels_and_empty_batch():
 # --- jacobian helpers ---------------------------------------------------------------
 
 def test_backward_equals_jacobian_transpose_of_weight_gradient():
-    model = small_model(perturb=0.05)
-    X, y = small_batch(seed=4)
-    _, g = am.backward(model, X, y)
-    pulled = am.jacobian_transpose_apply(model, am.weight_space_gradient(model, X, y))
-    assert np.abs(g - pulled).max() <= 1e-10
+    _, chain = gradient_errors(small_model(perturb=0.05), *small_batch(seed=4))
+    assert chain <= 1e-10
 
 
 def test_jacobian_transpose_of_zero_is_zero():

@@ -241,3 +241,67 @@ def test_cli_worker_pool_is_clamped_to_cell_count(tmp_path, monkeypatch):
                    "--n-per-experience", "200", "--feature-dim", "8") == 0
     assert sizes == [2]
     assert (tmp_path / "run_igem_seed0.json").exists()
+
+
+@pytest.mark.parametrize("flag,value,field", [
+    ("--train-mb-size", "0", "train_mb_size"),
+    ("--eval-mb-size", "0", "eval_mb_size"),
+    ("--train-epochs", "0", "train_epochs"),
+    ("--n-experiences", "0", "n_experiences"),
+    ("--power-iters", "0", "power_iters"),
+    ("--stepsize-safety", "5", "stepsize_safety"),
+    ("--stepsize-safety", "0", "stepsize_safety"),
+    ("--adamw-beta1", "1", "adamw_beta1"),
+    ("--adamw-beta2", "-0.5", "adamw_beta2"),
+    ("--adamw-eps", "0", "adamw_eps"),
+    ("--weight-decay", "-1", "weight_decay"),
+    ("--violation-tol", "nan", "violation_tol"),
+    ("--eval-every", "-1", "eval_every"),
+    ("--qp-enum-limit", "-1", "qp_enum_limit"),
+])
+def test_cli_rejects_out_of_range_config_before_writing(tmp_path, capsys, flag, value, field):
+    out = tmp_path / "o"
+    assert run_cli("run", "--methods", "naive", "--seeds", "0", "--out", str(out), flag, value) == 2
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_diverging_run_exits_3_with_failure_document(tmp_path, capsys):
+    out = tmp_path / "o"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run_cli("run", "--methods", "naive", "--seeds", "0", "--out", str(out),
+                       "--lr", "1e300", "--n-per-experience", "200", "--feature-dim", "8")
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "Traceback" not in err
+    assert err.startswith("error: run_naive_seed0 diverged: non-finite") and err.count("\n") == 1
+    doc = json.loads((out / "run_naive_seed0.failed.json").read_text())
+    assert doc["kind"] == "run_failure"
+    assert TrainConfig.from_dict(doc["config"]).lr == 1e300
+    assert doc["diagnostics"] and doc["diagnostics"][-1]["reason"].startswith("non-finite")
+    assert not (out / "run_naive_seed0.json").exists()
+
+
+def test_cli_other_cells_still_write_when_one_diverges(tmp_path, monkeypatch, capsys):
+    import gemproj.trainer as trainer
+
+    real_step = trainer.optimizer_step
+
+    def igem_diverges(phi, g, opt, config):
+        if config.method == "igem" and opt.t >= 5:
+            raise trainer.NonFiniteLossError("non-finite parameter update")
+        return real_step(phi, g, opt, config)
+
+    monkeypatch.setattr(trainer, "optimizer_step", igem_diverges)
+    out = tmp_path / "o"
+    code = run_cli("run", "--methods", "naive,igem", "--seeds", "0", "--out", str(out),
+                   "--optimizer", "adamw", "--n-per-experience", "200", "--feature-dim", "8")
+    assert code == 3
+    assert "run_igem_seed0 diverged" in capsys.readouterr().err
+    assert (out / "run_naive_seed0.json").exists() and (out / "run_naive_seed0_curves.csv").exists()
+    assert not (out / "run_igem_seed0.json").exists()
+    failed = json.loads((out / "run_igem_seed0.failed.json").read_text())
+    assert [(d["step"], d["reason"]) for d in failed["diagnostics"]] == [
+        (5, "non-finite parameter update")]
+    agg = json.loads((out / "aggregate.json").read_text())
+    assert set(agg["methods"]) == {"naive"}

@@ -12,23 +12,23 @@ from gemproj.metrics import (
     fwt,
     mpo,
 )
+from gemproj.verify import peaked_forgetting_gap
 
 
 def matrix(R, baseline=None):
     return AccuracyMatrix(np.asarray(R, dtype=float), baseline)
 
 
+# its AvgAcc/BWT/FWT/F hand values are checked by verify.two_task_fixture_errors
 T2 = matrix([[0.25, 0.25], [0.90, 0.50], [0.80, 0.85]])
 
 
 def test_avg_acc_examples():
-    assert avg_acc(T2) == pytest.approx(0.825, abs=1e-15)
     assert avg_acc(matrix(np.ones((3, 2)))) == 1.0
     assert avg_acc(matrix([[0.2], [0.6]])) == pytest.approx(0.6)
 
 
 def test_bwt_examples():
-    assert bwt(T2) == pytest.approx(-0.1, abs=1e-15)
     # final row equals each task's own row: no change
     R = matrix([[0.2, 0.2, 0.2], [0.5, 0.3, 0.2], [0.5, 0.6, 0.4], [0.5, 0.6, 0.9]])
     assert bwt(R) == pytest.approx(0.0, abs=1e-15)
@@ -36,7 +36,6 @@ def test_bwt_examples():
 
 
 def test_fwt_examples():
-    assert fwt(T2) == pytest.approx(0.25, abs=1e-15)
     # zero-shot equals baseline everywhere: FWT = 0
     R = matrix([[0.3, 0.4, 0.2], [0.9, 0.4, 0.2], [0.9, 0.9, 0.2], [0.9, 0.9, 0.9]])
     assert fwt(R) == pytest.approx(0.0, abs=1e-15)
@@ -46,7 +45,6 @@ def test_fwt_examples():
 
 
 def test_forgetting_examples():
-    assert forgetting(T2) == pytest.approx(0.1, abs=1e-15)
     # constant columns: max equals final, F = 0 exactly (no clamping)
     R = matrix([[0.1, 0.1], [0.7, 0.3], [0.7, 0.8]])
     assert forgetting(R) == pytest.approx(0.0, abs=1e-15)
@@ -60,14 +58,7 @@ def test_forgetting_can_be_negative():
 
 
 def test_forgetting_equals_neg_bwt_when_peak_at_own_checkpoint():
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        T = int(rng.integers(2, 7))
-        R = rng.uniform(size=(T + 1, T))
-        for c in range(T - 1):
-            R[c + 1, c] = R[1:T, c].max()
-        m = matrix(R)
-        assert forgetting(m) == pytest.approx(-bwt(m), abs=1e-12)
+    assert peaked_forgetting_gap(seed=0, n=50, max_tasks=6) <= 1e-12
 
 
 def test_mpo_examples():

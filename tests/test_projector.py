@@ -14,6 +14,7 @@ from gemproj.projector import (
     pgd_project,
     violation_check,
 )
+from gemproj.verify import kkt_residuals
 
 
 def cm(rows, normalized=False):
@@ -186,12 +187,10 @@ def test_exact_kkt_conditions():
     for _ in range(50):
         G = ConstraintMatrix.from_rows(rng.standard_normal((3, 12)), normalize=True)
         g = rng.standard_normal(12)
-        res = exact_qp_project(g, G)
-        lam = res.final_lambda.lam
-        slack = G.data @ res.projected_gradient
-        assert lam.min() >= -1e-10
-        assert slack.min() >= -1e-9
-        assert np.abs(lam * slack).max() <= 1e-8
+        feasibility, nonneg, complementarity = kkt_residuals(G, exact_qp_project(g, G))
+        assert nonneg <= 1e-10
+        assert feasibility <= 1e-9
+        assert complementarity <= 1e-8
 
 
 def test_exact_capacity_error_directs_to_pgd():
@@ -280,6 +279,32 @@ def test_wrong_length_gradient_is_rejected(name, m):
     G = ConstraintMatrix.empty(5) if m == 0 else cm(np.eye(m, 5))
     with pytest.raises(ValueError, match="gradient has length 4, expected d=5"):
         ENTRY_POINTS[name](np.ones(4), G)
+
+
+# --- cost certificate -------------------------------------------------------------
+
+class MatmulCounter(np.ndarray):
+    """G.data stand-in that counts the matrix products it takes part in."""
+
+    calls = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            MatmulCounter.calls += 1
+        plain = [x.view(np.ndarray) if isinstance(x, MatmulCounter) else x for x in inputs]
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+@pytest.mark.parametrize("m,d,K", [(1, 2, 1), (3, 40, 3), (8, 500, 27), (5, 64, 10)])
+def test_pgd_sweeps_g_exactly_2k_plus_3_times(m, d, K):
+    # one sweep for Gg, two per iteration, one to recover g~ and one for the
+    # violation check: the O(Kmd) cost the paper's budget K stands for
+    rng = np.random.default_rng(m * d * K)
+    G = ConstraintMatrix.from_rows(rng.standard_normal((m, d)), normalize=True)
+    object.__setattr__(G, "data", G.data.view(MatmulCounter))
+    MatmulCounter.calls = 0
+    pgd_project(rng.standard_normal(d), G, DualState.cold(m), eta=0.5, K=K)
+    assert MatmulCounter.calls == 2 * K + 3
 
 
 # --- ConstraintMatrix / DualState ------------------------------------------------

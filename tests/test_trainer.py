@@ -161,6 +161,18 @@ def test_non_finite_loss_aborts_with_diagnostic():
     assert state.log.diagnostics and state.log.diagnostics[0]["task"] == 0
 
 
+def test_non_finite_update_aborts_with_diagnostic():
+    state = _fresh_state(method="naive", seed=4, lr=1e300)
+    start_task(state, 0)
+    rng = np.random.default_rng(0)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteLossError) as exc:
+        for _ in range(10):
+            train_step(state, *_batch(rng))
+    assert exc.value.diagnostics == state.log.diagnostics
+    assert state.log.diagnostics[-1]["reason"] == "non-finite parameter update"
+    assert state.log.diagnostics[-1]["step"] == state.global_step
+
+
 def test_run_log_timestamps_monotone_and_append_only():
     matrix, log = small_run("igem", seed=0)
     ts = [r.timestamp for r in log.steps]
