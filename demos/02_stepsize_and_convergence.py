@@ -21,12 +21,11 @@ g = rng.standard_normal(40)
 truth = np.linalg.eigvalsh(G.data @ G.data.T)[-1]
 print(f"true sigma_max(GG') = {truth:.6f} (dense eigensolve oracle)")
 for iters in (1, 2, 3, 5, 10):
-    est = power_iteration(G, iters=iters, seed=0)
-    print(f"  power iteration x{iters:2d}: {est.sigma_max_hat:.6f} "
+    sigma = power_iteration(G, iters=iters, seed=0)
+    print(f"  power iteration x{iters:2d}: {sigma:.6f} "
           f"(never exceeds the truth)")
 
-est = power_iteration(G, iters=3, seed=0)
-eta = stepsize(est, c=0.7)
+eta = stepsize(power_iteration(G, iters=3, seed=0), c=0.7)
 print(f"\nstepsize eta = 0.7 / sigma_hat = {eta:.4f}")
 
 # monotone descent of the dual objective along the PGD trajectory

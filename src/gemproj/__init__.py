@@ -40,7 +40,6 @@ from .projector import (
     ActiveSetCapacityError,
     ConstraintMatrix,
     DualState,
-    MarginConfig,
     ProjectionResult,
     agem_project,
     dual_gradient,
@@ -50,7 +49,7 @@ from .projector import (
     violation_check,
 )
 from .replay import ReplayBuffer, build_constraint_matrix, task_gradient
-from .spectral import SpectralEstimate, power_iteration, stepsize
+from .spectral import power_iteration, stepsize
 from .trainer import (
     NonFiniteLossError,
     RunLog,

@@ -118,6 +118,20 @@ def split_80_20(seed: int, experience_id: int, row_indices: np.ndarray) -> tuple
     return train_pos, test_pos
 
 
+def _split(seed: int, experience_id: int, X: np.ndarray, y: np.ndarray, rows: np.ndarray) -> ExperienceSplit:
+    """One experience's rows, split 80/20 by ``split_80_20``."""
+    train_pos, test_pos = split_80_20(seed, experience_id, rows)
+    return ExperienceSplit(
+        train_x=X[train_pos],
+        train_y=y[train_pos],
+        test_x=X[test_pos],
+        test_y=y[test_pos],
+        experience_id=experience_id,
+        train_rows=rows[train_pos],
+        test_rows=rows[test_pos],
+    )
+
+
 def generate_stream(spec: StreamSpec) -> list[ExperienceSplit]:
     """Sample the drifted experience stream.
 
@@ -139,18 +153,7 @@ def generate_stream(spec: StreamSpec) -> list[ExperienceSplit]:
         X = means[y] + spec.noise_scale * rng.standard_normal((n, spec.feature_dim))
         rows = np.arange(next_row, next_row + n)
         next_row += n
-        train_pos, test_pos = split_80_20(spec.seed, e, rows)
-        splits.append(
-            ExperienceSplit(
-                train_x=X[train_pos],
-                train_y=y[train_pos],
-                test_x=X[test_pos],
-                test_y=y[test_pos],
-                experience_id=e,
-                train_rows=rows[train_pos],
-                test_rows=rows[test_pos],
-            )
-        )
+        splits.append(_split(spec.seed, e, X, y, rows))
     order = np.random.default_rng([spec.seed, 0x02D]).permutation(spec.n_experiences)
     return [splits[i] for i in order]
 
@@ -240,16 +243,5 @@ def ingest_csv(path: str, n_classes: int, seed: int = 0) -> list[ExperienceSplit
         X = np.array([r[0] for r in rows], dtype=np.float64)
         y = np.array([r[1] for r in rows], dtype=np.int64)
         idx = np.array([r[2] for r in rows])
-        train_pos, test_pos = split_80_20(seed, exp_id, idx)
-        splits.append(
-            ExperienceSplit(
-                train_x=X[train_pos],
-                train_y=y[train_pos],
-                test_x=X[test_pos],
-                test_y=y[test_pos],
-                experience_id=exp_id,
-                train_rows=idx[train_pos],
-                test_rows=idx[test_pos],
-            )
-        )
+        splits.append(_split(seed, exp_id, X, y, idx))
     return splits

@@ -124,19 +124,6 @@ class DualState:
         return cls(np.zeros(m), origin="cold", task_index=task_index)
 
 
-@dataclass(frozen=True)
-class MarginConfig:
-    """Optional dual lower bound lam >= memory_strength (disabled by default,
-    so the plain dual update is used)."""
-
-    memory_strength: float = 0.3
-    enabled: bool = False
-
-    def __post_init__(self):
-        if self.memory_strength < 0.0:
-            raise ValueError("memory_strength must be >= 0")
-
-
 @dataclass
 class ProjectionResult:
     """Outcome of one projection call.
@@ -205,14 +192,15 @@ def pgd_project(
     warm: DualState,
     eta: float,
     K: int,
-    margin: MarginConfig | None = None,
+    floor: float = 0.0,
 ) -> ProjectionResult:
     """Fixed-budget dual projected gradient descent.
 
     Runs exactly K iterations of lam <- max(0, lam - eta * grad F(lam))
     starting from ``warm.lam`` and returns g~ = g + G' lam_K together with
-    the final multipliers for warm-starting the next call.  When a margin
-    is enabled the clip floor becomes memory_strength instead of zero.
+    the final multipliers for warm-starting the next call.  A positive
+    ``floor`` (GEM's memory strength) clips lam at that margin instead of
+    at zero.
     """
     t0 = time.perf_counter()
     g, _ = _checked(G, g, warm.lam)
@@ -220,6 +208,8 @@ def pgd_project(
         raise ValueError("eta must be > 0")
     if K < 1:
         raise ValueError("K must be >= 1")
+    if not floor >= 0.0:
+        raise ValueError("floor must be >= 0")
     # G is validated finite at construction; only the fresh gradient needs checking
     if not np.all(np.isfinite(g)):
         raise ValueError("non-finite values in gradient")
@@ -229,7 +219,6 @@ def pgd_project(
     if G.rows == 0:
         return _identity(g, DualState(np.zeros(0), origin="warm", task_index=warm.task_index), t0)
 
-    floor = margin.memory_strength if (margin is not None and margin.enabled) else 0.0
     A = G.data
     Gg = A @ g
     lam = warm.lam.copy()
@@ -249,7 +238,7 @@ def pgd_project(
     )
 
 
-def exact_qp_project(g, G: ConstraintMatrix, enum_limit: int = DEFAULT_ENUM_LIMIT) -> ProjectionResult:
+def exact_qp_project(g, G: ConstraintMatrix) -> ProjectionResult:
     """Exact cone projection by enumeration of all 2^m active sets.
 
     For each subset S the equality-constrained system
@@ -257,13 +246,14 @@ def exact_qp_project(g, G: ConstraintMatrix, enum_limit: int = DEFAULT_ENUM_LIMI
     singular); candidates must satisfy lam_S >= -1e-10 and G g~ >= -1e-9.
     The feasible candidate with minimal 0.5 ||g~ - g||^2 wins, and ties
     within 1e-12 keep the smaller active set.  The result satisfies the
-    KKT conditions of the cone projection.
+    KKT conditions of the cone projection.  More than DEFAULT_ENUM_LIMIT
+    constraints raise ActiveSetCapacityError.
     """
     t0 = time.perf_counter()
     m = G.rows
-    if m > enum_limit:
+    if m > DEFAULT_ENUM_LIMIT:
         raise ActiveSetCapacityError(
-            f"m={m} exceeds the active-set enumeration limit {enum_limit}; "
+            f"m={m} exceeds the active-set enumeration limit {DEFAULT_ENUM_LIMIT}; "
             "use pgd_project for large constraint counts"
         )
     g, _ = _checked(G, g)

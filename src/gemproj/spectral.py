@@ -8,8 +8,6 @@ the dual descent stable even when the estimate is loose.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .projector import ConstraintMatrix
@@ -18,56 +16,23 @@ DEFAULT_POWER_ITERS = 3
 DEFAULT_SAFETY = 0.7
 
 
-@dataclass
-class SpectralEstimate:
-    """Rayleigh-quotient estimate of sigma_max(G G').
-
-    May underestimate the true spectral norm (that is why the safety
-    factor c < 1 exists) but never exceeds it.  ``stale_steps`` counts
-    projector calls since the last refresh; the caller owns that
-    bookkeeping.
-    """
-
-    sigma_max_hat: float
-    power_iters: int
-    stale_steps: int = 0
-
-
-def default_start_vector(m: int, seed: int = 0) -> np.ndarray:
-    """Deterministic pseudo-random unit start vector for a given run seed."""
-    rng = np.random.default_rng([seed, 0x5E0])
-    v = rng.standard_normal(m)
-    return v / np.linalg.norm(v)
-
-
-def power_iteration(
-    G: ConstraintMatrix,
-    v0: np.ndarray | None = None,
-    iters: int = DEFAULT_POWER_ITERS,
-    seed: int = 0,
-) -> SpectralEstimate:
+def power_iteration(G: ConstraintMatrix, iters: int = DEFAULT_POWER_ITERS, seed: int = 0) -> float:
     """Estimate sigma_max(G G') with a few power-iteration steps.
 
     Iterates v <- (G G') v / ||(G G') v|| in the two-matvec form G (G' v)
-    and returns the Rayleigh quotient v' (G G') v of the final unit
-    iterate.  With m = 0 the estimate is 0 and callers must treat the
+    from a pseudo-random unit start vector drawn from ``seed`` and returns
+    the Rayleigh quotient v' (G G') v of the final unit iterate.  The
+    estimate may fall below the true value (hence the safety factor) but
+    never exceeds it.  With m = 0 it is 0 and callers must treat the
     matrix as "no constraints".
     """
     if iters < 1:
         raise ValueError("iters must be >= 1")
     m = G.rows
     if m == 0:
-        return SpectralEstimate(sigma_max_hat=0.0, power_iters=0)
-    if v0 is None:
-        v = default_start_vector(m, seed)
-    else:
-        v = np.asarray(v0, dtype=np.float64)
-        if v.shape != (m,):
-            raise ValueError(f"v0 must have shape ({m},), got {v.shape}")
-        norm = np.linalg.norm(v)
-        if norm == 0.0:
-            raise ValueError("v0 must be nonzero")
-        v = v / norm
+        return 0.0
+    v = np.random.default_rng([seed, 0x5E0]).standard_normal(m)
+    v = v / np.linalg.norm(v)
 
     A = G.data
     for _ in range(iters):
@@ -75,16 +40,16 @@ def power_iteration(
         norm = np.linalg.norm(w)
         if norm == 0.0:
             # v lies in the null space of G G'; Rayleigh quotient is 0.
-            return SpectralEstimate(sigma_max_hat=0.0, power_iters=iters)
+            return 0.0
         v = w / norm
     u = A.T @ v
-    return SpectralEstimate(sigma_max_hat=float(u.dot(u)), power_iters=iters)
+    return float(u.dot(u))
 
 
-def stepsize(est: SpectralEstimate, c: float = DEFAULT_SAFETY) -> float:
+def stepsize(sigma: float, c: float = DEFAULT_SAFETY) -> float:
     """Safety-factored dual stepsize c / sigma_hat with c in (0, 1]."""
     if not 0.0 < c <= 1.0:
         raise ValueError(f"safety factor c must be in (0, 1], got {c}")
-    if est.sigma_max_hat <= 0.0:
-        raise ValueError("sigma_max_hat must be > 0 (skip projection when 0)")
-    return c / est.sigma_max_hat
+    if sigma <= 0.0:
+        raise ValueError("sigma_hat must be > 0 (skip projection when 0)")
+    return c / sigma

@@ -22,16 +22,14 @@ from . import adapter_model as am
 from .datagen import ExperienceSplit
 from .metrics import AccuracyMatrix, TimingRecord
 from .projector import (
-    ConstraintMatrix,
     DualState,
-    MarginConfig,
     agem_project,
     exact_qp_project,
     pgd_project,
     violation_check,
 )
 from .replay import ReplayBuffer, build_constraint_matrix
-from .spectral import SpectralEstimate, power_iteration, stepsize
+from .spectral import power_iteration, stepsize
 
 METHODS = ("naive", "gem_exact", "agem", "igem")
 OPTIMIZERS = ("sgd", "adamw")
@@ -47,12 +45,17 @@ class NonFiniteLossError(RuntimeError):
         self.diagnostics = list(diagnostics)
 
 
-# (fields, rule, check) for TrainConfig; each check fails on NaN as well
+# An igem spectral estimate serves the projection that computed it and the
+# next SPECTRAL_REUSE ones; a change in the constraint count also refreshes it.
+SPECTRAL_REUSE = 10
+
+# (fields, rule, check) for every numeric TrainConfig field but seed; each
+# check fails on NaN as well
 _RANGES = (
     (("lr", "adamw_eps"), "> 0", lambda v: v > 0),
-    (("train_mb_size", "eval_mb_size", "train_epochs", "n_experiences", "power_iters",
-      "proj_interval"), ">= 1", lambda v: v >= 1),
-    (("weight_decay", "violation_tol", "eval_every", "qp_enum_limit"), ">= 0", lambda v: v >= 0),
+    (("pgd_iterations", "train_mb_size", "eval_mb_size", "train_epochs", "n_experiences",
+      "patterns_per_exp", "memory_size", "power_iters"), ">= 1", lambda v: v >= 1),
+    (("weight_decay", "memory_strength", "violation_tol", "eval_every"), ">= 0", lambda v: v >= 0),
     (("adamw_beta1", "adamw_beta2"), "in [0, 1)", lambda v: 0 <= v < 1),
     (("stepsize_safety",), "in (0, 1]", lambda v: 0 < v <= 1),
 )
@@ -74,17 +77,12 @@ class TrainConfig:
     adamw_beta2: float = 0.999
     adamw_eps: float = 1e-8
     weight_decay: float = 0.0
-    normalize_rows: bool = True
-    memory_strength: float = 0.3
-    margin_enabled: bool = False
+    memory_strength: float = 0.0     # igem dual floor (GEM's margin); 0 disables it
     skip_when_feasible: bool = False
     violation_tol: float = 0.0
-    proj_interval: int = 1
     patterns_per_exp: int = 100
     memory_size: int = 150
     power_iters: int = 3
-    spectral_refresh: int = 10
-    qp_enum_limit: int = 16
     eval_every: int = 0              # 0 disables mid-task accuracy curves
     dump_buffers: bool = False       # snapshot replay buffers into the run log
 
@@ -93,16 +91,11 @@ class TrainConfig:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
-        if self.method == "igem" and self.pgd_iterations < 1:
-            raise ValueError("pgd_iterations must be >= 1 for igem")
         for names, rule, ok in _RANGES:
             for name in names:
                 value = getattr(self, name)
                 if not ok(value):
                     raise ValueError(f"{name} must be {rule}, got {value!r}")
-
-    def margin(self) -> MarginConfig:
-        return MarginConfig(memory_strength=self.memory_strength, enabled=self.margin_enabled)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -166,21 +159,23 @@ def optimizer_step(phi: np.ndarray, g_tilde: np.ndarray, opt: OptState, config: 
     """
     if phi.shape != g_tilde.shape:
         raise ValueError("phi and gradient shapes differ")
-    if config.optimizer == "sgd":
-        new_phi = phi - config.lr * g_tilde
-    else:
-        if opt.m is None:
-            opt.m = np.zeros_like(phi)
-            opt.v = np.zeros_like(phi)
-        opt.t += 1
-        b1, b2 = config.adamw_beta1, config.adamw_beta2
-        opt.m = b1 * opt.m + (1.0 - b1) * g_tilde
-        opt.v = b2 * opt.v + (1.0 - b2) * g_tilde * g_tilde
-        m_hat = opt.m / (1.0 - b1 ** opt.t)
-        v_hat = opt.v / (1.0 - b2 ** opt.t)
-        new_phi = phi - config.lr * m_hat / (np.sqrt(v_hat) + config.adamw_eps)
-        if config.weight_decay:
-            new_phi = new_phi - config.lr * config.weight_decay * phi
+    # overflow is reported once, by the finiteness check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        if config.optimizer == "sgd":
+            new_phi = phi - config.lr * g_tilde
+        else:
+            if opt.m is None:
+                opt.m = np.zeros_like(phi)
+                opt.v = np.zeros_like(phi)
+            opt.t += 1
+            b1, b2 = config.adamw_beta1, config.adamw_beta2
+            opt.m = b1 * opt.m + (1.0 - b1) * g_tilde
+            opt.v = b2 * opt.v + (1.0 - b2) * g_tilde * g_tilde
+            m_hat = opt.m / (1.0 - b1 ** opt.t)
+            v_hat = opt.v / (1.0 - b2 ** opt.t)
+            new_phi = phi - config.lr * m_hat / (np.sqrt(v_hat) + config.adamw_eps)
+            if config.weight_decay:
+                new_phi = new_phi - config.lr * config.weight_decay * phi
     if not np.all(np.isfinite(new_phi)):
         raise NonFiniteLossError("non-finite parameter update")
     return new_phi
@@ -198,12 +193,9 @@ class TrainerState:
     opt: OptState = field(default_factory=OptState)
     log: RunLog = field(default_factory=RunLog)
     dual: DualState | None = None
-    spectral: SpectralEstimate | None = None
-    spectral_m: int = -1
-    G: ConstraintMatrix | None = None
-    steps_since_build: int = 0
+    sigma: float | None = None       # igem's sigma_max(G G') estimate
+    sigma_age: int = 0               # projections served since it was computed
     task_index: int = 0
-    step_in_task: int = 0
     global_step: int = 0
 
 
@@ -222,24 +214,9 @@ def start_task(state: TrainerState, task_index: int):
     """Task-boundary bookkeeping: reset the dual multipliers to a cold start
     sized for the new constraint count and invalidate the spectral estimate."""
     state.task_index = task_index
-    state.step_in_task = 0
     m = len([t for t in state.buffers.tasks() if t < task_index])
     state.dual = DualState.cold(m, task_index=task_index)
-    state.spectral = None
-    state.G = None
-    state.steps_since_build = 0
-
-
-def _refresh_spectral_if_stale(state: TrainerState, G: ConstraintMatrix):
-    """Recompute the estimate every spectral_refresh projector calls or
-    whenever the constraint count changes."""
-    cfg = state.config
-    est = state.spectral
-    if est is None or state.spectral_m != G.rows or est.stale_steps >= cfg.spectral_refresh:
-        state.spectral = power_iteration(G, iters=cfg.power_iters, seed=cfg.seed)
-        state.spectral_m = G.rows
-    else:
-        est.stale_steps += 1
+    state.sigma = None
 
 
 def _agem_reference_gradient(state: TrainerState, past: list[int]) -> np.ndarray:
@@ -280,11 +257,6 @@ def train_step(state: TrainerState, X, y) -> StepRecord:
 
     past = [t for t in state.buffers.tasks() if t < state.task_index]
     projecting = bool(past) and cfg.method != "naive"
-    if projecting and (state.G is None or state.steps_since_build >= cfg.proj_interval):
-        state.G = build_constraint_matrix(state.buffers, state.model, past, normalize=cfg.normalize_rows)
-        state.steps_since_build = 0
-    if projecting:
-        state.steps_since_build += 1
 
     g_tilde = g
     projected = False
@@ -293,7 +265,7 @@ def train_step(state: TrainerState, X, y) -> StepRecord:
     max_violation = 0.0
     violation_before = 0.0
     if projecting:
-        G = state.G
+        G = build_constraint_matrix(state.buffers, state.model, past)
         violated, worst = violation_check(g, G, cfg.violation_tol)
         violation_before = max(0.0, -worst) if np.isfinite(worst) else 0.0
         if cfg.skip_when_feasible and not violated:
@@ -306,20 +278,25 @@ def train_step(state: TrainerState, X, y) -> StepRecord:
             projected = True
             max_violation = max(0.0, -float(g_tilde.dot(g_ref))) if g_ref.dot(g_ref) else 0.0
         elif cfg.method == "gem_exact":
-            result = exact_qp_project(g, G, enum_limit=cfg.qp_enum_limit)
+            result = exact_qp_project(g, G)
             g_tilde = result.projected_gradient
             proj_time = result.wall_time
             lambda_norm = float(np.linalg.norm(result.final_lambda.lam))
             max_violation = result.max_violation
             projected = True
         else:  # igem
-            _refresh_spectral_if_stale(state, G)
-            if state.dual is None or state.dual.lam.shape[0] != G.rows:
-                # constraint count changed mid-task (zero-norm row drop)
+            if state.dual.lam.shape[0] != G.rows:
+                # constraint count changed (zero-norm row drop): both go stale
                 state.dual = DualState.cold(G.rows, task_index=state.task_index)
-            if state.spectral.sigma_max_hat > 0.0:
-                eta = stepsize(state.spectral, cfg.stepsize_safety)
-                result = pgd_project(g, G, state.dual, eta, cfg.pgd_iterations, margin=cfg.margin())
+                state.sigma = None
+            if state.sigma is None or state.sigma_age >= SPECTRAL_REUSE:
+                state.sigma = power_iteration(G, iters=cfg.power_iters, seed=cfg.seed)
+                state.sigma_age = 0
+            else:
+                state.sigma_age += 1
+            if state.sigma > 0.0:
+                eta = stepsize(state.sigma, cfg.stepsize_safety)
+                result = pgd_project(g, G, state.dual, eta, cfg.pgd_iterations, floor=cfg.memory_strength)
                 g_tilde = result.projected_gradient
                 proj_time = result.wall_time
                 lambda_norm = float(np.linalg.norm(result.final_lambda.lam))
@@ -350,7 +327,6 @@ def train_step(state: TrainerState, X, y) -> StepRecord:
     )
     state.log.add_step(rec)
     state.global_step += 1
-    state.step_in_task += 1
     return rec
 
 

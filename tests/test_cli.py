@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -39,7 +40,7 @@ def test_config_echo_round_trips():
 
 def test_run_result_document_shape():
     doc, _ = small_doc()
-    assert doc["schema_version"] == "1"
+    assert doc["schema_version"] == "2"
     assert doc["kind"] == "run_result"
     R = np.array(doc["accuracy_matrix"])
     assert R.shape == (4, 3)
@@ -47,6 +48,9 @@ def test_run_result_document_shape():
     assert set(doc["metrics"]) >= {"avg_acc", "bwt", "fwt", "forgetting", "mpo"}
     # document survives a JSON round trip
     assert parse_run_result(json.dumps(doc))["metrics"]["avg_acc"] == doc["metrics"]["avg_acc"]
+    # a version-1 document echoes config fields that no longer exist
+    with pytest.raises(ValueError, match="schema version"):
+        parse_run_result(json.dumps({**doc, "schema_version": "1"}))
 
 
 def test_atomic_write_leaves_no_partial_files(tmp_path):
@@ -257,7 +261,10 @@ def test_cli_worker_pool_is_clamped_to_cell_count(tmp_path, monkeypatch):
     ("--weight-decay", "-1", "weight_decay"),
     ("--violation-tol", "nan", "violation_tol"),
     ("--eval-every", "-1", "eval_every"),
-    ("--qp-enum-limit", "-1", "qp_enum_limit"),
+    ("--memory-size", "0", "memory_size"),
+    ("--patterns-per-exp", "0", "patterns_per_exp"),
+    ("--memory-strength", "-0.1", "memory_strength"),
+    ("--pgd-iterations", "0", "pgd_iterations"),
 ])
 def test_cli_rejects_out_of_range_config_before_writing(tmp_path, capsys, flag, value, field):
     out = tmp_path / "o"
@@ -268,9 +275,8 @@ def test_cli_rejects_out_of_range_config_before_writing(tmp_path, capsys, flag, 
 
 def test_cli_diverging_run_exits_3_with_failure_document(tmp_path, capsys):
     out = tmp_path / "o"
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = run_cli("run", "--methods", "naive", "--seeds", "0", "--out", str(out),
-                       "--lr", "1e300", "--n-per-experience", "200", "--feature-dim", "8")
+    code = run_cli("run", "--methods", "naive", "--seeds", "0", "--out", str(out),
+                   "--lr", "1e300", "--n-per-experience", "200", "--feature-dim", "8")
     err = capsys.readouterr().err
     assert code == 3
     assert "Traceback" not in err
@@ -280,6 +286,16 @@ def test_cli_diverging_run_exits_3_with_failure_document(tmp_path, capsys):
     assert TrainConfig.from_dict(doc["config"]).lr == 1e300
     assert doc["diagnostics"] and doc["diagnostics"][-1]["reason"].startswith("non-finite")
     assert not (out / "run_naive_seed0.json").exists()
+
+
+def test_cli_diverging_run_prints_one_line_without_warnings(tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli("run", "--methods", "naive", "--seeds", "0", "--out", str(tmp_path / "o"),
+                       "--lr", "1e300", "--n-per-experience", "200", "--feature-dim", "8")
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_cli_other_cells_still_write_when_one_diverges(tmp_path, monkeypatch, capsys):

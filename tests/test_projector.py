@@ -6,7 +6,6 @@ from gemproj.projector import (
     ActiveSetCapacityError,
     ConstraintMatrix,
     DualState,
-    MarginConfig,
     agem_project,
     dual_gradient,
     dual_objective,
@@ -133,12 +132,10 @@ def test_pgd_warm_start_continues_from_given_lambda():
 
 
 def test_pgd_margin_enforces_dual_floor():
-    margin = MarginConfig(memory_strength=0.3, enabled=True)
-    res = pgd_project([1, 2], cm(np.eye(2)), DualState.cold(2), eta=1.0, K=3, margin=margin)
+    res = pgd_project([1, 2], cm(np.eye(2)), DualState.cold(2), eta=1.0, K=3, floor=0.3)
     assert res.final_lambda.lam.min() >= 0.3
-    # disabled margin leaves the plain update untouched
-    res2 = pgd_project([1, 2], cm(np.eye(2)), DualState.cold(2), eta=1.0, K=3,
-                       margin=MarginConfig(enabled=False))
+    # a zero floor (margin off) leaves the plain update untouched
+    res2 = pgd_project([1, 2], cm(np.eye(2)), DualState.cold(2), eta=1.0, K=3, floor=0.0)
     np.testing.assert_array_equal(res2.final_lambda.lam, [0.0, 0.0])
 
 
@@ -333,5 +330,5 @@ def test_dual_state_rejects_negative_lambda():
 
 
 def test_margin_config_rejects_negative_strength():
-    with pytest.raises(ValueError):
-        MarginConfig(memory_strength=-0.1)
+    with pytest.raises(ValueError, match="floor"):
+        pgd_project([1, 2], cm(np.eye(2)), DualState.cold(2), eta=1.0, K=3, floor=-0.1)

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from gemproj import adapter_model as am
+from gemproj import trainer
 from gemproj.datagen import StreamSpec, generate_stream
 from gemproj.metrics import compute_all, forgetting
 from gemproj.trainer import (
@@ -80,8 +83,15 @@ def test_config_validation():
 
 
 def test_config_round_trips_through_dict():
-    cfg = TrainConfig(method="agem", seed=11, lr=0.01, margin_enabled=True)
+    cfg = TrainConfig(method="agem", seed=11, lr=0.01, memory_strength=0.3)
     assert TrainConfig.from_dict(cfg.to_dict()) == cfg
+
+
+def test_every_numeric_config_field_is_range_checked():
+    checked = {name for names, _, _ in trainer._RANGES for name in names}
+    numeric = {f.name for f in dataclasses.fields(TrainConfig)
+               if f.type in ("int", "float", int, float) and f.name != "seed"}
+    assert numeric - checked == set()
 
 
 # --- train_step basics -------------------------------------------------------------
@@ -262,11 +272,39 @@ def test_agem_method_projects_against_sampled_reference():
 
 
 def test_margin_enabled_floors_the_multipliers():
-    matrix, log = small_run("igem", seed=0, margin_enabled=True, memory_strength=0.3)
+    matrix, log = small_run("igem", seed=0, memory_strength=0.3)
     projected = [r for r in log.steps if r.projected]
     assert projected
     # each lambda component >= 0.3, so its norm is too
     assert min(r.lambda_norm for r in projected) >= 0.3
+
+
+def test_spectral_estimate_serves_its_own_projection_and_the_next_ten(monkeypatch):
+    real_power, real_step = trainer.power_iteration, trainer.train_step
+    calls = []
+    refreshes: dict[int, list[int]] = {}
+    steps_in_task: dict[int, int] = {}
+
+    def counting_power(*args, **kwargs):
+        calls.append(1)
+        return real_power(*args, **kwargs)
+
+    def recording_step(state, X, y):
+        before = len(calls)
+        rec = real_step(state, X, y)
+        offset = steps_in_task.get(rec.task, 0)
+        if len(calls) > before:
+            refreshes.setdefault(rec.task, []).append(offset)
+        steps_in_task[rec.task] = offset + 1
+        return rec
+
+    monkeypatch.setattr(trainer, "power_iteration", counting_power)
+    monkeypatch.setattr(trainer, "train_step", recording_step)
+    spec = StreamSpec(seed=0, n_per_experience=1000, feature_dim=8)
+    model = prepare_model(spec, 0, model_config=SMALL_MODEL)
+    run_experiences(TrainConfig(method="igem", seed=0, optimizer="adamw"), generate_stream(spec), model)
+    assert steps_in_task == {0: 25, 1: 25, 2: 25}
+    assert refreshes == {1: [0, 11, 22], 2: [0, 11, 22]}
 
 
 def test_exact_projection_first_order_loss_certificate():
