@@ -161,8 +161,8 @@ def _flatten_blocks(blocks: list[np.ndarray]) -> np.ndarray:
 
 # --- forward / backward ------------------------------------------------------
 
-def forward(model: TinyMlp, x) -> np.ndarray:
-    """Logits for a single feature vector or a (n, input_dim) batch."""
+def forward(model: TinyMlp, x, weights=None) -> np.ndarray:
+    """Logits for one feature vector or an (n, input_dim) batch; ``weights`` as in `backward`."""
     X = np.asarray(x, dtype=np.float64)
     single = X.ndim == 1
     if single:
@@ -171,8 +171,9 @@ def forward(model: TinyMlp, x) -> np.ndarray:
         raise ValueError(f"input has dim {X.shape[1]}, expected {model.config.input_dim}")
     if not np.all(np.isfinite(X)):
         raise ValueError("non-finite values in input")
-    H = np.tanh(X @ model.layers[0].effective_weight().T)
-    Z2 = H @ model.layers[1].effective_weight().T
+    W1, W2 = effective_weights(model) if weights is None else weights
+    H = np.tanh(X @ W1.T)
+    Z2 = H @ W2.T
     return Z2[0] if single else Z2
 
 
@@ -222,25 +223,29 @@ def _loss_and_weight_grads(model: TinyMlp, X, y, weights=None):
     return loss, [dW1, dW2]
 
 
-def _pull_back(model: TinyMlp, dWs: list[np.ndarray]) -> np.ndarray:
-    """Adapter gradient from per-layer effective-weight gradients: per layer
-    grad_B = (alpha/r) dW A' and grad_A = (alpha/r) B' dW."""
-    blocks = []
+def _pull_back(model: TinyMlp, dWs: list[np.ndarray], out=None) -> np.ndarray:
+    """Adapter gradient from per-layer effective-weight gradients, written
+    into ``out``: per layer grad_B = (alpha/r) dW A' and grad_A = (alpha/r) B' dW."""
+    out = np.empty(model.phi.size) if out is None else out
     for layer, dW in zip(model.layers, dWs):
-        s = layer.scaling
-        blocks.append(s * (dW @ layer.A.T))
-        blocks.append(s * (layer.B.T @ dW))
-    return _flatten_blocks(blocks)
+        grad_B, grad_A = layer._blocks(out)
+        np.matmul(dW, layer.A.T, out=grad_B)
+        np.matmul(layer.B.T, dW, out=grad_A)
+        grad_B *= layer.scaling
+        grad_A *= layer.scaling
+    return out
 
 
-def backward(model: TinyMlp, X, y, weights=None) -> tuple[float, np.ndarray]:
+def backward(model: TinyMlp, X, y, weights=None, out=None) -> tuple[float, np.ndarray]:
     """Mean-over-batch loss and adapter gradient g_phi (flat, length d_phi).
 
     Base weights receive no gradient; only the A and B blocks appear.
-    ``weights`` may carry precomputed ``effective_weights(model)``.
+    ``weights`` may carry precomputed ``effective_weights(model)``, and the
+    gradient is written into ``out`` (a contiguous float64 vector of
+    length d_phi) when given.
     """
     loss, dWs = _loss_and_weight_grads(model, X, y, weights)
-    return loss, _pull_back(model, dWs)
+    return loss, _pull_back(model, dWs, out)
 
 
 def weight_space_gradient(model: TinyMlp, X, y) -> np.ndarray:

@@ -58,7 +58,7 @@ def _instance(m: int, d: int, seed: int = 0):
     rng = np.random.default_rng([seed, m, d])
     G = rng.standard_normal((m, d))
     G = G / np.linalg.norm(G, axis=1)[:, None]
-    return ConstraintMatrix(G, normalized=True), rng.standard_normal(d)
+    return ConstraintMatrix(G), rng.standard_normal(d)
 
 
 def time_round_robin(fns, warmup: int = 3, reps: int = 9) -> list[tuple[float, float, float]]:

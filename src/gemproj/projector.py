@@ -52,13 +52,11 @@ def _as_vector(x, name: str) -> np.ndarray:
 class ConstraintMatrix:
     """Stacked past-task gradients, one row per remembered task.
 
-    ``data`` is dense row-major, shape (m, d_phi). ``normalized`` records
-    whether rows were rescaled to unit Euclidean norm; ``dropped_rows``
+    ``data`` is dense row-major, shape (m, d_phi). ``dropped_rows``
     records original indices of zero-norm rows removed before scaling.
     """
 
     data: np.ndarray
-    normalized: bool = False
     dropped_rows: tuple[int, ...] = ()
 
     def __post_init__(self):
@@ -84,9 +82,10 @@ class ConstraintMatrix:
         return cls(np.zeros((0, dim)))
 
     @classmethod
-    def from_rows(cls, rows, normalize: bool = False) -> "ConstraintMatrix":
+    def from_rows(cls, rows, normalize: bool = False, in_place: bool = False) -> "ConstraintMatrix":
         """Stack gradient rows, dropping zero rows (logged) and optionally
-        scaling the survivors to unit norm."""
+        scaling the survivors to unit norm.  ``rows`` is never written unless
+        ``in_place`` hands it over (a float64 (m, d) array) to be scaled in place."""
         arr = np.atleast_2d(np.asarray(rows, dtype=np.float64))
         norms = np.linalg.norm(arr, axis=1)
         keep = norms > 0.0
@@ -96,8 +95,8 @@ class ConstraintMatrix:
             arr = arr[keep]
             norms = norms[keep]
         if normalize and arr.shape[0] > 0:
-            arr = arr / norms[:, None]
-        return cls(arr, normalized=normalize, dropped_rows=dropped)
+            arr = np.divide(arr, norms[:, None], out=arr if in_place else None)
+        return cls(arr, dropped_rows=dropped)
 
 
 @dataclass

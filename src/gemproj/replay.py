@@ -1,31 +1,31 @@
 """Per-task episodic memory and constraint-matrix construction.
 
-Buffers keep a label-balanced sample of each task's training stream and
-are the source of the averaged past-task gradients stacked into the
-constraint matrix G.  Eviction is deterministic: within a task the
-oldest entry of the most populous label goes first (ties: lowest label),
-and when the total budget is exceeded the largest task (ties: lowest id)
-sheds entries the same way.
+Buffers keep a sample of each task's training stream, the source of the
+averaged past-task gradients stacked into the constraint matrix G.  Each
+task stores its rows as one float64 array and one int64 label array,
+oldest first, plus its row count per label.
 
-Each task stores its surviving rows as one float64 array and one int64
-label array, both in arrival order, plus an increasing arrival number per
-row.  Per-label counts live in a list indexed by label and every label
-keeps a FIFO of the arrival numbers of its stored rows, so choosing and
-removing a victim is O(1) Python work: the victim label is
-``counts.index(max(counts))`` and its oldest row is a ``popleft``.  An
-eviction only marks its row dead; each task an ``insert`` call touched
-is compacted once, at the end of the call.
+Eviction is water-filling: e units leave a vector of counts one at a
+time from the largest entry, ties to the lowest index (``_water_fill``
+does it in closed form).  ``insert`` adds a batch's labels to its task's
+counts and water-fills them down to ``capacity_per_task``; over
+``total_cap`` it water-fills the task sizes (ties to the lowest task id)
+and each cut task's labels by its share.  Within a label the oldest rows
+go first, so every task the call cut then drops its oldest e_l rows of
+each label l in one compaction.  The survivors and their order are those
+of evicting after every arriving row (the reference in the tests).
 """
 
 from __future__ import annotations
 
 import logging
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import accumulate, zip_longest
 
 import numpy as np
 
-from .adapter_model import TinyMlp, backward, effective_weights
+from .adapter_model import TinyMlp, adapter_dim, backward, effective_weights
 from .projector import ConstraintMatrix
 
 logger = logging.getLogger(__name__)
@@ -39,63 +39,64 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _water_fill(counts: list[int], excess: int) -> list[int]:
+    """``counts`` less ``excess`` units (all, if it has fewer), taken one at
+    a time from the largest entry (ties: lowest index).  In closed form,
+    every entry above a level L drops to L + 1, then the first entries at
+    L + 1 drop to L; L is the largest level with sum(max(c - L, 0)) >=
+    excess, i.e. the k largest entries sum to >= excess + k L for some k."""
+    if excess <= 0:
+        return counts
+    if excess >= sum(counts):
+        return [0] * len(counts)
+    top = accumulate(sorted(counts, reverse=True))
+    level = max((above - excess) // k for k, above in enumerate(top, 1))
+    out = [min(c, level + 1) for c in counts]
+    rest = excess - sum(counts) + sum(out)
+    for i, c in enumerate(out):
+        if rest and c == level + 1:
+            out[i] -= 1
+            rest -= 1
+    return out
+
+
 class _TaskMemory:
-    """One task's stored rows and its eviction bookkeeping."""
+    """One task's stored rows, oldest first, and its rows per label."""
 
     def __init__(self, dim: int):
         self.X = _read_only(np.zeros((0, dim)))
         self.y = _read_only(np.zeros(0, dtype=np.int64))
-        self.ids = np.zeros(0, dtype=np.int64)  # arrival numbers, increasing
-        self.next_id = 0
-        self.size = 0
-        self.counts: list[int] = []  # live rows per label
-        self.queues: list[deque] = []  # live arrival numbers per label, oldest first
-        self.dead: list[int] = []  # arrival numbers evicted since the last compaction
+        self.counts: list[int] = []
 
-    def push(self, arrival: int, label: int):
-        if label >= len(self.counts):
-            grow = label + 1 - len(self.counts)
-            self.counts.extend([0] * grow)
-            self.queues.extend(deque() for _ in range(grow))
-        self.counts[label] += 1
-        self.queues[label].append(arrival)
-        self.size += 1
+    @property
+    def size(self) -> int:
+        return self.y.size
 
-    def evict_one(self):
-        """Drop the oldest entry of the most populous label (ties: lowest label)."""
-        label = self.counts.index(max(self.counts))
-        self.counts[label] -= 1
-        self.dead.append(self.queues[label].popleft())
-        self.size -= 1
-
-    def append(self, X: np.ndarray, y: np.ndarray) -> range:
-        """Store new rows at the end; returns their arrival numbers, which
-        the caller pushes one by one."""
-        arrivals = range(self.next_id, self.next_id + len(y))
-        self.next_id = arrivals.stop
+    def append(self, X: np.ndarray, y: np.ndarray):
         self.X = _read_only(np.concatenate([self.X, X]))
         self.y = _read_only(np.concatenate([self.y, y]))
-        self.ids = np.concatenate([self.ids, np.arange(arrivals.start, arrivals.stop)])
-        return arrivals
+        added = np.bincount(y).tolist()
+        self.counts = [c + a for c, a in zip_longest(self.counts, added, fillvalue=0)]
 
-    def compact(self):
-        """Delete the rows evicted since the last compaction."""
-        keep = np.ones(len(self.ids), dtype=bool)
-        keep[np.searchsorted(self.ids, self.dead)] = False
+    def keep_newest(self, counts: list[int]):
+        """Keep the newest ``counts[l]`` rows of every label l."""
+        order = self.y.argsort(kind="stable")  # by label, oldest first within one
+        # each label's newest evicted row: rows up to it go, rows after it stay
+        last = [order[first + c - k - 1] if c > k else -1
+                for first, c, k in zip(accumulate([0] + self.counts), self.counts, counts)]
+        keep = np.arange(self.size) > np.array(last)[self.y]
         self.X = _read_only(self.X[keep])
         self.y = _read_only(self.y[keep])
-        self.ids = self.ids[keep]
-        self.dead = []
+        self.counts = counts
 
 
 @dataclass
 class ReplayBuffer:
-    """Label-balanced episodic memory, one sub-buffer per task."""
+    """Episodic memory, one sub-buffer per task, bounded per task and in total."""
 
     capacity_per_task: int = DEFAULT_CAPACITY_PER_TASK
     total_cap: int = DEFAULT_TOTAL_CAP
     _memories: dict[int, _TaskMemory] = field(default_factory=dict, init=False, repr=False)
-    _total: int = field(default=0, init=False, repr=False)
 
     def tasks(self) -> list[int]:
         return sorted(t for t, mem in self._memories.items() if mem.size)
@@ -105,7 +106,7 @@ class ReplayBuffer:
         return mem.size if mem else 0
 
     def total_size(self) -> int:
-        return self._total
+        return sum(mem.size for mem in self._memories.values())
 
     def label_counts(self, task: int) -> Counter:
         mem = self._memories.get(task)
@@ -117,9 +118,6 @@ class ReplayBuffer:
         if not mem or not mem.size:
             raise ValueError(f"replay buffer for task {task} is empty")
         return mem.X, mem.y
-
-    def _largest_task(self) -> int:
-        return max(self._memories, key=lambda t: (self._memories[t].size, -t))
 
     def to_dict(self) -> dict:
         """JSON-able snapshot of the stored examples (reproducibility audits)."""
@@ -133,8 +131,11 @@ class ReplayBuffer:
         }
 
     def insert(self, task: int, X, y):
-        """Insert labeled examples in arrival order, keeping per-label counts
-        within each task balanced to +/- 1 and enforcing both capacities."""
+        """Insert labeled examples in arrival order, then water-fill down to
+        both capacities.  Counts are not balanced: below capacity every row
+        stays, and at capacity only counts above the water level are cut
+        (desk stream, seed 0: task 0 holds 14/7/73/6 rows of labels 0-3
+        after 4 steps of 32)."""
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.int64)
         if X.ndim == 1:
@@ -149,30 +150,28 @@ class ReplayBuffer:
             mem = self._memories[task] = _TaskMemory(X.shape[1])
         elif X.shape[1] != mem.X.shape[1]:
             raise ValueError(f"rows have dim {X.shape[1]}, task {task} stores dim {mem.X.shape[1]}")
-        for arrival, label in zip(mem.append(X, y), y.tolist()):
-            mem.push(arrival, label)
-            self._total += 1
-            if mem.size > self.capacity_per_task:
-                mem.evict_one()
-                self._total -= 1
-            while self._total > self.total_cap:
-                victim = self._largest_task()
-                self._memories[victim].evict_one()
-                self._total -= 1
-        for touched in self._memories.values():
-            if touched.dead:
-                touched.compact()
+        mem.append(X, y)
+        keep = {task: _water_fill(mem.counts, mem.size - self.capacity_per_task)}
+        ids = sorted(self._memories)
+        sizes = [sum(keep[t]) if t == task else self._memories[t].size for t in ids]
+        for t, size, kept in zip(ids, sizes, _water_fill(sizes, sum(sizes) - self.total_cap)):
+            if kept < size:
+                keep[t] = _water_fill(keep.get(t, self._memories[t].counts), size - kept)
+        for t, counts in keep.items():
+            if counts is not self._memories[t].counts:
+                self._memories[t].keep_newest(counts)
         return self
 
 
-def task_gradient(buffer: ReplayBuffer, task: int, model: TinyMlp, weights=None) -> np.ndarray:
+def task_gradient(buffer: ReplayBuffer, task: int, model: TinyMlp, weights=None, out=None) -> np.ndarray:
     """Mean adapter gradient over the task's full buffer at the current phi.
 
     ``weights`` are the model's effective weights, if the caller already
-    formed them for this phi.
+    formed them for this phi; ``out`` receives the gradient, as in
+    ``backward``.
     """
     X, y = buffer.examples(task)
-    _, g = backward(model, X, y, weights=weights)
+    _, g = backward(model, X, y, weights=weights, out=out)
     return g
 
 
@@ -185,13 +184,12 @@ def build_constraint_matrix(
     """Stack one averaged-gradient row per past task (current phi).
 
     The effective weights are formed once and shared by every task's
-    backward pass.  Rows are unit-normalized by default; zero-norm rows are
+    backward pass, which writes its gradient straight into its row of G.
+    Rows are unit-normalized in place by default; zero-norm rows are
     dropped with a logged warning either way.
     """
-    from .adapter_model import adapter_dim
-
-    if not tasks:
-        return ConstraintMatrix.empty(adapter_dim(model))
+    G = np.empty((len(tasks), adapter_dim(model)))
     weights = effective_weights(model)
-    rows = [task_gradient(buffer, t, model, weights) for t in tasks]
-    return ConstraintMatrix.from_rows(np.stack(rows), normalize=normalize)
+    for row, t in zip(G, tasks):
+        task_gradient(buffer, t, model, weights, out=row)
+    return ConstraintMatrix.from_rows(G, normalize=normalize, in_place=True)

@@ -22,6 +22,7 @@ from . import adapter_model as am
 from .datagen import ExperienceSplit
 from .metrics import AccuracyMatrix, TimingRecord
 from .projector import (
+    DEFAULT_ENUM_LIMIT,
     DualState,
     agem_project,
     exact_qp_project,
@@ -96,6 +97,9 @@ class TrainConfig:
                 value = getattr(self, name)
                 if not ok(value):
                     raise ValueError(f"{name} must be {rule}, got {value!r}")
+        if self.method == "gem_exact" and self.n_experiences - 1 > DEFAULT_ENUM_LIMIT:
+            raise ValueError(f"n_experiences must be <= {DEFAULT_ENUM_LIMIT + 1} for gem_exact "
+                             f"(at most {DEFAULT_ENUM_LIMIT} past tasks), got {self.n_experiences}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -330,19 +334,21 @@ def train_step(state: TrainerState, X, y) -> StepRecord:
     return rec
 
 
-def evaluate(model: am.TinyMlp, X, y, eval_mb_size: int = 50) -> float:
-    """Accuracy of argmax logits; batching never changes the result."""
+def evaluate(model: am.TinyMlp, X, y, eval_mb_size: int = 50, weights=None) -> float:
+    """Accuracy of argmax logits; batching never changes the result (``weights`` as in `am.backward`)."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
+    weights = am.effective_weights(model) if weights is None else weights
     correct = 0
     for i in range(0, len(y), eval_mb_size):
-        logits = am.forward(model, X[i : i + eval_mb_size])
+        logits = am.forward(model, X[i : i + eval_mb_size], weights)
         correct += int((logits.argmax(axis=1) == y[i : i + eval_mb_size]).sum())
     return correct / len(y)
 
 
 def _eval_all(model: am.TinyMlp, stream: list[ExperienceSplit], eval_mb_size: int) -> np.ndarray:
-    return np.array([evaluate(model, s.test_x, s.test_y, eval_mb_size) for s in stream])
+    weights = am.effective_weights(model)
+    return np.array([evaluate(model, s.test_x, s.test_y, eval_mb_size, weights) for s in stream])
 
 
 # Base-model pretraining schedule: enough pooled uniform-prior steps that the

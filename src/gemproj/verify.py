@@ -60,7 +60,7 @@ def random_instance(rng: np.random.Generator, min_ratio: int = 3):
     G = rng.standard_normal((m, d))
     G = G / np.linalg.norm(G, axis=1)[:, None]
     g = rng.standard_normal(d)
-    return ConstraintMatrix(G, normalized=True), g
+    return ConstraintMatrix(G), g
 
 
 def true_sigma_max(G: ConstraintMatrix) -> float:
@@ -172,7 +172,7 @@ def _projector_suite() -> list[PropertyResult]:
         A = G.data.copy()
         dots = A @ g
         A[dots < 0] *= -1.0  # flip rows so G g >= 0 (unit norms preserved)
-        Gf = ConstraintMatrix(A, normalized=True)
+        Gf = ConstraintMatrix(A)
         res = pgd_project(g, Gf, DualState.cold(Gf.rows), eta=0.5, K=5)
         if not np.array_equal(res.projected_gradient, g):
             ok, detail = False, "PGD changed a feasible gradient"
@@ -211,8 +211,7 @@ def _projector_suite() -> list[PropertyResult]:
                               f"worst deviation from exact m=1 projection {worst:.2e}"))
 
     # Duplicating a constraint row leaves the primal solution unchanged.
-    worst = _primal_shift(404, 100, lambda rng, G: ConstraintMatrix(
-        np.vstack([G.data, G.data[0]]), normalized=True))
+    worst = _primal_shift(404, 100, lambda rng, G: ConstraintMatrix(np.vstack([G.data, G.data[0]])))
     out.append(PropertyResult("projector", "duplicate_row_primal_uniqueness", worst <= 1e-9,
                               f"worst primal shift under row duplication {worst:.2e}"))
 

@@ -273,6 +273,15 @@ def test_cli_rejects_out_of_range_config_before_writing(tmp_path, capsys, flag, 
     assert not out.exists()
 
 
+def test_cli_rejects_gem_exact_beyond_the_enumeration_limit_before_writing(tmp_path, capsys):
+    # 17 past tasks exceed DEFAULT_ENUM_LIMIT; the run must not start
+    out = tmp_path / "o"
+    assert run_cli("run", "--methods", "gem_exact,naive", "--seeds", "0", "--out", str(out),
+                   "--n-experiences", "18", "--n-per-experience", "100", "--feature-dim", "8") == 2
+    assert "n_experiences" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_diverging_run_exits_3_with_failure_document(tmp_path, capsys):
     out = tmp_path / "o"
     code = run_cli("run", "--methods", "naive", "--seeds", "0", "--out", str(out),

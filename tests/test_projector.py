@@ -16,8 +16,8 @@ from gemproj.projector import (
 from gemproj.verify import kkt_residuals
 
 
-def cm(rows, normalized=False):
-    return ConstraintMatrix(np.asarray(rows, dtype=float), normalized=normalized)
+def cm(rows):
+    return ConstraintMatrix(np.asarray(rows, dtype=float))
 
 
 # --- dual objective / gradient -------------------------------------------------
@@ -311,6 +311,17 @@ def test_from_rows_normalizes_and_drops_zero_rows():
     assert G.rows == 2
     assert G.dropped_rows == (1,)
     np.testing.assert_allclose(np.linalg.norm(G.data, axis=1), [1.0, 1.0], atol=1e-9)
+
+
+def test_from_rows_writes_into_its_input_only_when_handed_it():
+    rows = np.array([[3.0, 4.0], [1.0, -2.0], [0.0, 2.0]])
+    before = rows.copy()
+    for normalize in (True, False):
+        ConstraintMatrix.from_rows(rows, normalize=normalize)
+        assert np.array_equal(rows, before)
+    G = ConstraintMatrix.from_rows(rows, normalize=True, in_place=True)
+    assert G.data is rows
+    assert np.array_equal(rows, before / np.linalg.norm(before, axis=1)[:, None])
 
 
 def test_constraint_matrix_validates_shape_and_finiteness():

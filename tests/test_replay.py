@@ -8,7 +8,7 @@ from gemproj import adapter_model as am
 from gemproj import trainer
 from gemproj.datagen import StreamSpec, generate_stream
 from gemproj.projector import exact_qp_project
-from gemproj.replay import ReplayBuffer, build_constraint_matrix, task_gradient
+from gemproj.replay import ReplayBuffer, _water_fill, build_constraint_matrix, task_gradient
 
 
 class ListReplayBuffer:
@@ -79,6 +79,15 @@ class ListReplayBuffer:
             while self.total_size() > self.total_cap:
                 self._evict_one(self._largest_task())
         return self
+
+
+def greedy_evict(counts, excess):
+    """Reference for _water_fill: one unit at a time from the largest count,
+    ties to the lowest index, until none is left."""
+    counts = list(counts)
+    for _ in range(min(excess, sum(counts))):
+        counts[counts.index(max(counts))] -= 1
+    return counts
 
 
 def make_examples(labels, dim=4, seed=0):
@@ -152,6 +161,15 @@ def test_total_cap_evicts_oldest_of_largest_task():
     # the survivors in task 0 are the NEWEST zeros (oldest evicted first)
     kept, _ = buf.examples(0)
     np.testing.assert_array_equal(kept, X[3:])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_water_fill_matches_one_unit_at_a_time(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(500):
+        counts = rng.integers(0, 9, size=int(rng.integers(1, 8))).tolist()
+        excess = int(rng.integers(0, sum(counts) + 3))
+        assert _water_fill(counts, excess) == greedy_evict(counts, excess)
 
 
 def test_insert_rejects_negative_labels():
@@ -272,7 +290,7 @@ def _assert_same_memory(buf, ref, n_tasks):
 
 
 @pytest.mark.parametrize("seed", range(6))
-@pytest.mark.parametrize("capacity,total_cap", [(9, 14), (25, 1000)])
+@pytest.mark.parametrize("capacity,total_cap", [(9, 14), (25, 1000), (12, 5), (4, 1)])
 def test_random_inserts_match_list_reference(seed, capacity, total_cap):
     rng = np.random.default_rng([seed, capacity])
     n_tasks = 4
@@ -290,6 +308,19 @@ def test_random_inserts_match_list_reference(seed, capacity, total_cap):
         buf.insert(task, X, y)
         ref.insert(task, X, y)
         _assert_same_memory(buf, ref, n_tasks)
+
+
+@pytest.mark.parametrize("capacity,total_cap", [(6, 10), (6, 4), (3, 1), (-1, 10)])
+def test_scripted_inserts_match_list_reference(capacity, total_cap):
+    # newer tasks fill first and older ones follow; empty and one-row batches
+    rng = np.random.default_rng([abs(capacity), total_cap])
+    buf = ReplayBuffer(capacity_per_task=capacity, total_cap=total_cap)
+    ref = ListReplayBuffer(capacity_per_task=capacity, total_cap=total_cap)
+    for task, n in [(2, 7), (1, 5), (0, 0), (0, 9), (2, 1), (0, 1), (1, 0), (3, 4), (1, 8), (0, 3)]:
+        X, y = rng.standard_normal((n, 3)), rng.integers(0, 3, size=n)
+        buf.insert(task, X, y)
+        ref.insert(task, X, y)
+        _assert_same_memory(buf, ref, 3)
 
 
 def test_examples_are_read_only():

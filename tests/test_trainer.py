@@ -7,6 +7,7 @@ from gemproj import adapter_model as am
 from gemproj import trainer
 from gemproj.datagen import StreamSpec, generate_stream
 from gemproj.metrics import compute_all, forgetting
+from gemproj.projector import DEFAULT_ENUM_LIMIT
 from gemproj.trainer import (
     NonFiniteLossError,
     OptState,
@@ -92,6 +93,13 @@ def test_every_numeric_config_field_is_range_checked():
     numeric = {f.name for f in dataclasses.fields(TrainConfig)
                if f.type in ("int", "float", int, float) and f.name != "seed"}
     assert numeric - checked == set()
+
+
+def test_gem_exact_config_rejects_more_past_tasks_than_the_enumeration_limit():
+    TrainConfig(method="gem_exact", n_experiences=DEFAULT_ENUM_LIMIT + 1)
+    TrainConfig(method="igem", n_experiences=DEFAULT_ENUM_LIMIT + 2)
+    with pytest.raises(ValueError, match="n_experiences"):
+        TrainConfig(method="gem_exact", n_experiences=DEFAULT_ENUM_LIMIT + 2)
 
 
 # --- train_step basics -------------------------------------------------------------
