@@ -49,7 +49,7 @@ for call in range(4):
     res = pgd_project(g, G, state, eta=eta, K=2)
     state = res.final_lambda
     err = np.linalg.norm(res.projected_gradient - exact.projected_gradient)
-    print(f"  call {call} ({state.origin} next): primal error {err:.3e}")
+    print(f"  call {call} (|lambda| {np.linalg.norm(state.lam):.3e} next): primal error {err:.3e}")
 
 # A-GEM collapses the memory to one averaged direction
 g_ref = G.data.mean(axis=0)

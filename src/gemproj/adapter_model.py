@@ -8,12 +8,23 @@ is a view; `backward` computes its gradient
 by exact manual backpropagation, and the Jacobian helpers expose the
 adapter-subspace geometry (g_phi = J' g for any full-weight gradient g,
 and full-weight directions J dphi for adapter directions dphi).
+
+`backward` pulls the gradient back in adapter space and never forms a
+layer's weight gradient dW = D' X (d x k).  With the layer's input X
+(n x k), its output delta D (n x d) and s = alpha/r, it scales D once and
+computes grad_B = (sD)' (X A') and grad_A = ((sD) B)' X: 2 n r (d + k)
+multiply-adds a layer against n d k + 2 d k r through dW.  The result
+equals ``jacobian_transpose_apply(weight_space_gradient(...))`` to
+rounding, not bit for bit; `pretrain_base` and `weight_space_gradient`
+keep the dW form.
 """
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,16 +93,24 @@ class LoraLayer:
         return self.alpha / self.rank
 
     def effective_weight(self) -> np.ndarray:
-        return self.W0 + self.scaling * (self._B @ self._A)
+        """W0 + (alpha/r) B A in a new 64-byte-aligned array."""
+        W = _empty_64(self.W0.shape)
+        np.dot(self._B, self._A, out=W)
+        W *= self.scaling
+        W += self.W0
+        return W
 
 
-def _zeros_64(n: int) -> np.ndarray:
-    """n float64 zeros starting on a 64-byte boundary.  np.zeros promises
-    16 bytes, and OpenBLAS ran B @ A about half as fast on blocks 16 bytes
-    past a 32-byte boundary (wide-model adapters, 2-core x86 host)."""
-    buf = np.zeros(n + 7)
-    start = (-buf.ctypes.data % 64) // 8
-    return buf[start : start + n]
+def _empty_64(shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialised float64 array starting on a 64-byte boundary.
+    np.empty promises 16 bytes, and OpenBLAS ran B @ A about half as fast
+    on blocks 16 bytes past a 32-byte boundary (wide-model adapters,
+    2-core x86 host)."""
+    n = math.prod(shape)
+    buf = np.empty(n + 7)
+    # the address, read several times faster than through buf.ctypes.data
+    start = (-ctypes.addressof(ctypes.c_char.from_buffer(buf)) % 64) // 8
+    return buf[start : start + n].reshape(shape)
 
 
 class TinyMlp:
@@ -105,7 +124,8 @@ class TinyMlp:
     def __init__(self, config: ModelConfig):
         self.config = config
         shapes = [(config.hidden_dim, config.input_dim), (config.n_classes, config.hidden_dim)]
-        self._phi = _zeros_64(sum((d + k) * config.rank for d, k in shapes))
+        self._phi = _empty_64((sum((d + k) * config.rank for d, k in shapes),))
+        self._phi.fill(0.0)
         self.layers, offset = [], 0
         for d, k in shapes:
             self.layers.append(LoraLayer(np.zeros((d, k)), config.rank, config.alpha, self._phi, offset))
@@ -114,7 +134,7 @@ class TinyMlp:
     def __setstate__(self, state):
         """A copy (deepcopy, pickle, copy.copy) gets its own aligned phi and
         new layers viewing it, so it never rebinds the original's layers."""
-        self.__dict__.update(state, _phi=_zeros_64(state["_phi"].size))
+        self.__dict__.update(state, _phi=_empty_64(state["_phi"].shape))
         self._phi[...] = state["_phi"]
         self.layers = [LoraLayer(l.W0, l.rank, l.alpha, self._phi, l.offset) for l in self.layers]
 
@@ -199,10 +219,11 @@ def effective_weights(model: TinyMlp) -> list[np.ndarray]:
     return [layer.effective_weight() for layer in model.layers]
 
 
-def _loss_and_weight_grads(model: TinyMlp, X, y, weights=None):
-    """Mean softmax cross-entropy and its gradient w.r.t. each layer's
-    effective weight matrix; ``weights`` are ``effective_weights(model)``
-    when the caller already formed them."""
+def _layer_deltas(model: TinyMlp, X, y, weights=None):
+    """Mean softmax cross-entropy and, per layer, the pair (input, output
+    delta) whose product D' X is that layer's effective-weight gradient;
+    ``weights`` are ``effective_weights(model)`` when the caller already
+    formed them."""
     X, y = _prep_batch(model, X, y)
     n = X.shape[0]
     W1, W2 = effective_weights(model) if weights is None else weights
@@ -216,17 +237,21 @@ def _loss_and_weight_grads(model: TinyMlp, X, y, weights=None):
     D2 = P.copy()
     D2[np.arange(n), y] -= 1.0
     D2 /= n
-    dW2 = D2.T @ H
     dH = D2 @ W2
     dZ1 = dH * (1.0 - H * H)
-    dW1 = dZ1.T @ X
-    return loss, [dW1, dW2]
+    return loss, [(X, dZ1), (H, D2)]
 
 
-def _pull_back(model: TinyMlp, dWs: list[np.ndarray], out=None) -> np.ndarray:
-    """Adapter gradient from per-layer effective-weight gradients, written
-    into ``out``: per layer grad_B = (alpha/r) dW A' and grad_A = (alpha/r) B' dW."""
-    out = np.empty(model.phi.size) if out is None else out
+def _loss_and_weight_grads(model: TinyMlp, X, y):
+    """Mean loss and its gradient w.r.t. each layer's effective weight matrix."""
+    loss, deltas = _layer_deltas(model, X, y)
+    return loss, [D.T @ X_in for X_in, D in deltas]
+
+
+def _pull_back(model: TinyMlp, dWs: list[np.ndarray]) -> np.ndarray:
+    """Adapter gradient from per-layer effective-weight gradients: per
+    layer grad_B = (alpha/r) dW A' and grad_A = (alpha/r) B' dW."""
+    out = np.empty(model.phi.size)
     for layer, dW in zip(model.layers, dWs):
         grad_B, grad_A = layer._blocks(out)
         np.matmul(dW, layer.A.T, out=grad_B)
@@ -239,13 +264,21 @@ def _pull_back(model: TinyMlp, dWs: list[np.ndarray], out=None) -> np.ndarray:
 def backward(model: TinyMlp, X, y, weights=None, out=None) -> tuple[float, np.ndarray]:
     """Mean-over-batch loss and adapter gradient g_phi (flat, length d_phi).
 
-    Base weights receive no gradient; only the A and B blocks appear.
-    ``weights`` may carry precomputed ``effective_weights(model)``, and the
-    gradient is written into ``out`` (a contiguous float64 vector of
-    length d_phi) when given.
+    Base weights receive no gradient; only the A and B blocks appear, each
+    computed in adapter space (see the module docstring).  ``weights`` may
+    carry precomputed ``effective_weights(model)``, and the gradient is
+    written into ``out`` (a contiguous float64 vector of length d_phi)
+    when given.
     """
-    loss, dWs = _loss_and_weight_grads(model, X, y, weights)
-    return loss, _pull_back(model, dWs, out)
+    loss, deltas = _layer_deltas(model, X, y, weights)
+    out = np.empty(model.phi.size) if out is None else out
+    # np.dot writes out= with less call overhead than np.matmul (desk-sized blocks)
+    for layer, (X_in, D) in zip(model.layers, deltas):
+        grad_B, grad_A = layer._blocks(out)
+        sD = layer.scaling * D
+        np.dot(sD.T, X_in @ layer.A.T, out=grad_B)
+        np.dot((sD @ layer.B).T, X_in, out=grad_A)
+    return loss, out
 
 
 def weight_space_gradient(model: TinyMlp, X, y) -> np.ndarray:

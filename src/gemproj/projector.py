@@ -101,26 +101,19 @@ class ConstraintMatrix:
 
 @dataclass
 class DualState:
-    """Nonnegative multiplier vector plus warm-start lifecycle metadata.
-
-    ``origin`` is "cold" when lam was reset to zeros (first step after a
-    task boundary) and "warm" when carried over from a previous projection.
-    """
+    """Nonnegative multiplier vector: zeros after a cold start (a task
+    boundary), or carried over from a previous projection as a warm start."""
 
     lam: np.ndarray
-    origin: str = "cold"
-    task_index: int | None = None
 
     def __post_init__(self):
         self.lam = _as_vector(self.lam, "lam")
-        if self.origin not in ("cold", "warm"):
-            raise ValueError(f"origin must be 'cold' or 'warm', got {self.origin!r}")
         if self.lam.size and self.lam.min() < 0.0:
             raise ValueError("dual state violates lam >= 0")
 
     @classmethod
-    def cold(cls, m: int, task_index: int | None = None) -> "DualState":
-        return cls(np.zeros(m), origin="cold", task_index=task_index)
+    def cold(cls, m: int) -> "DualState":
+        return cls(np.zeros(m))
 
 
 @dataclass
@@ -216,7 +209,7 @@ def pgd_project(
         raise ValueError("warm-start lambda has a negative component")
 
     if G.rows == 0:
-        return _identity(g, DualState(np.zeros(0), origin="warm", task_index=warm.task_index), t0)
+        return _identity(g, DualState(np.zeros(0)), t0)
 
     A = G.data
     Gg = A @ g
@@ -229,7 +222,7 @@ def pgd_project(
     g_tilde = g + u
     return ProjectionResult(
         projected_gradient=g_tilde,
-        final_lambda=DualState(lam, origin="warm", task_index=warm.task_index),
+        final_lambda=DualState(lam),
         dual_value=dual_value,
         iterations_used=K,
         max_violation=_max_violation(G, g_tilde),

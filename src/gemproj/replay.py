@@ -25,7 +25,7 @@ from itertools import accumulate, zip_longest
 
 import numpy as np
 
-from .adapter_model import TinyMlp, adapter_dim, backward, effective_weights
+from .adapter_model import TinyMlp, _empty_64, adapter_dim, backward, effective_weights
 from .projector import ConstraintMatrix
 
 logger = logging.getLogger(__name__)
@@ -180,16 +180,18 @@ def build_constraint_matrix(
     model: TinyMlp,
     tasks: list[int],
     normalize: bool = True,
+    weights=None,
 ) -> ConstraintMatrix:
     """Stack one averaged-gradient row per past task (current phi).
 
-    The effective weights are formed once and shared by every task's
-    backward pass, which writes its gradient straight into its row of G.
-    Rows are unit-normalized in place by default; zero-norm rows are
-    dropped with a logged warning either way.
+    Every task's backward pass shares one set of effective weights
+    (``weights``, if the caller already formed them for this phi) and
+    writes its gradient straight into its row of G, which starts on a
+    64-byte boundary.  Rows are unit-normalized in place by default;
+    zero-norm rows are dropped with a logged warning either way.
     """
-    G = np.empty((len(tasks), adapter_dim(model)))
-    weights = effective_weights(model)
+    G = _empty_64((len(tasks), adapter_dim(model)))
+    weights = effective_weights(model) if weights is None else weights
     for row, t in zip(G, tasks):
         task_gradient(buffer, t, model, weights, out=row)
     return ConstraintMatrix.from_rows(G, normalize=normalize, in_place=True)

@@ -219,13 +219,14 @@ def start_task(state: TrainerState, task_index: int):
     sized for the new constraint count and invalidate the spectral estimate."""
     state.task_index = task_index
     m = len([t for t in state.buffers.tasks() if t < task_index])
-    state.dual = DualState.cold(m, task_index=task_index)
+    state.dual = DualState.cold(m)
     state.sigma = None
 
 
-def _agem_reference_gradient(state: TrainerState, past: list[int]) -> np.ndarray:
+def _agem_reference_gradient(state: TrainerState, past: list[int], weights) -> np.ndarray:
     """Averaged gradient over eval_mb_size examples sampled uniformly from
-    the union of all past buffers (resampled every projection)."""
+    the union of all past buffers (resampled every projection), at the
+    step's effective ``weights``."""
     xs, ys = [], []
     for t in past:
         X, y = state.buffers.examples(t)
@@ -237,7 +238,7 @@ def _agem_reference_gradient(state: TrainerState, past: list[int]) -> np.ndarray
     if len(y) > k:
         idx = state.rng.choice(len(y), size=k, replace=False)
         X, y = X[idx], y[idx]
-    _, g_ref = am.backward(state.model, X, y)
+    _, g_ref = am.backward(state.model, X, y, weights=weights)
     return g_ref
 
 
@@ -253,9 +254,11 @@ def _diverged(state: TrainerState, loss: float, reason: str) -> NonFiniteLossErr
 
 def train_step(state: TrainerState, X, y) -> StepRecord:
     """One step of the training loop (loss, constraint build, projection,
-    optimizer update, buffer update, warm-start carryover)."""
+    optimizer update, buffer update, warm-start carryover).  The effective
+    weights are formed once and shared by every backward pass of the step."""
     cfg = state.config
-    loss, g = am.backward(state.model, X, y)
+    weights = am.effective_weights(state.model)
+    loss, g = am.backward(state.model, X, y, weights=weights)
     if not np.isfinite(loss) or not np.all(np.isfinite(g)):
         raise _diverged(state, loss, "non-finite loss or gradient")
 
@@ -269,13 +272,13 @@ def train_step(state: TrainerState, X, y) -> StepRecord:
     max_violation = 0.0
     violation_before = 0.0
     if projecting:
-        G = build_constraint_matrix(state.buffers, state.model, past)
+        G = build_constraint_matrix(state.buffers, state.model, past, weights=weights)
         violated, worst = violation_check(g, G, cfg.violation_tol)
         violation_before = max(0.0, -worst) if np.isfinite(worst) else 0.0
         if cfg.skip_when_feasible and not violated:
             pass  # opt-in skip path; the default projects every step
         elif cfg.method == "agem":
-            g_ref = _agem_reference_gradient(state, past)
+            g_ref = _agem_reference_gradient(state, past, weights)
             t0 = time.perf_counter()
             g_tilde = agem_project(g, g_ref)
             proj_time = time.perf_counter() - t0
@@ -291,7 +294,7 @@ def train_step(state: TrainerState, X, y) -> StepRecord:
         else:  # igem
             if state.dual.lam.shape[0] != G.rows:
                 # constraint count changed (zero-norm row drop): both go stale
-                state.dual = DualState.cold(G.rows, task_index=state.task_index)
+                state.dual = DualState.cold(G.rows)
                 state.sigma = None
             if state.sigma is None or state.sigma_age >= SPECTRAL_REUSE:
                 state.sigma = power_iteration(G, iters=cfg.power_iters, seed=cfg.seed)

@@ -107,6 +107,28 @@ def test_backward_equals_jacobian_transpose_of_weight_gradient():
     assert chain <= 1e-10
 
 
+WIDE = am.ModelConfig(input_dim=512, hidden_dim=128, n_classes=64, rank=64)
+
+
+@pytest.mark.parametrize("n", [16, 700])  # below every layer width, above all of them
+def test_adapter_space_backward_matches_pull_back_of_weight_gradient_at_wide_shapes(n):
+    model = am.build_model(WIDE, seed=1)
+    rng = np.random.default_rng(n)
+    am.set_adapter_params(model, model.phi + 0.05 * rng.standard_normal(model.phi.size))
+    X = rng.standard_normal((n, WIDE.input_dim))
+    y = rng.integers(0, WIDE.n_classes, size=n)
+    want = am.jacobian_transpose_apply(model, am.weight_space_gradient(model, X, y))
+    loss, g = am.backward(model, X, y)
+    assert np.linalg.norm(g - want) <= 1e-12 * np.linalg.norm(want)
+    for layer in model.layers:  # both blocks of every layer carry gradient
+        assert all(np.abs(block).max() > 0.0 for block in layer._blocks(g))
+    out = np.full(model.phi.size, np.nan)
+    loss_w, g_w = am.backward(model, X, y, weights=am.effective_weights(model), out=out)
+    assert g_w is out
+    assert loss_w == loss
+    np.testing.assert_array_equal(g_w, g)
+
+
 def test_jacobian_transpose_of_zero_is_zero():
     model = small_model(perturb=0.05)
     d_full = sum(l.W0.size for l in model.layers)

@@ -146,24 +146,55 @@ def test_large_budget_igem_step_matches_exact_step():
     assert diff <= 1e-6
 
 
-def test_warm_start_lifecycle():
+def test_warm_start_lifecycle(monkeypatch):
+    real_pgd = trainer.pgd_project
+    calls = []  # (lam handed in, final lam) per projection
+
+    def recording_pgd(g, G, warm, *args, **kwargs):
+        res = real_pgd(g, G, warm, *args, **kwargs)
+        calls.append((warm.lam.copy(), res.final_lambda.lam.copy()))
+        return res
+
+    monkeypatch.setattr(trainer, "pgd_project", recording_pgd)
     state = _fresh_state(method="igem", seed=3)
     rng = np.random.default_rng(5)
     start_task(state, 0)
     for _ in range(2):
         X, y = _batch(rng)
         train_step(state, X, y)
+    assert calls == []
     start_task(state, 1)
-    assert state.dual.origin == "cold"
-    assert state.dual.task_index == 1
-    X, y = _batch(rng)
-    train_step(state, X, y)  # first projected step consumes the cold state
-    assert state.dual.origin == "warm"
-    lam_after_first = state.dual.lam.copy()
-    X, y = _batch(rng)
-    train_step(state, X, y)  # second step must have started from lam_after_first
-    assert state.dual.origin == "warm"
-    assert state.dual.lam.shape == lam_after_first.shape
+    np.testing.assert_array_equal(state.dual.lam, np.zeros(1))  # cold: one past task
+    for _ in range(2):
+        X, y = _batch(rng)
+        train_step(state, X, y)
+        np.testing.assert_array_equal(state.dual.lam, calls[-1][1])
+    np.testing.assert_array_equal(calls[0][0], np.zeros(1))  # the first step starts cold
+    np.testing.assert_array_equal(calls[1][0], calls[0][1])  # the second carries it over
+    start_task(state, 2)
+    np.testing.assert_array_equal(state.dual.lam, np.zeros(2))  # a new task resets it
+
+
+@pytest.mark.parametrize("method", trainer.METHODS)
+def test_each_step_forms_the_effective_weights_once(method, monkeypatch):
+    real = am.LoraLayer.effective_weight
+    calls = []
+
+    def counting(layer):
+        calls.append(layer)
+        return real(layer)
+
+    monkeypatch.setattr(am.LoraLayer, "effective_weight", counting)
+    state = _fresh_state(method=method, seed=6)
+    rng = np.random.default_rng(6)
+    for task in (0, 1, 2):
+        start_task(state, task)
+        for _ in range(2):
+            X, y = _batch(rng)
+            calls.clear()
+            rec = train_step(state, X, y)
+            assert calls == state.model.layers
+    assert rec.projected or method == "naive"
 
 
 def test_non_finite_loss_aborts_with_diagnostic():
