@@ -21,10 +21,8 @@ keep the dW form.
 
 from __future__ import annotations
 
-import ctypes
 import dataclasses
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,24 +91,16 @@ class LoraLayer:
         return self.alpha / self.rank
 
     def effective_weight(self) -> np.ndarray:
-        """W0 + (alpha/r) B A in a new 64-byte-aligned array."""
-        W = _empty_64(self.W0.shape)
-        np.dot(self._B, self._A, out=W)
-        W *= self.scaling
-        W += self.W0
-        return W
+        return self.W0 + self.scaling * (self._B @ self._A)
 
 
-def _empty_64(shape: tuple[int, ...]) -> np.ndarray:
-    """An uninitialised float64 array starting on a 64-byte boundary.
-    np.empty promises 16 bytes, and OpenBLAS ran B @ A about half as fast
-    on blocks 16 bytes past a 32-byte boundary (wide-model adapters,
-    2-core x86 host)."""
-    n = math.prod(shape)
-    buf = np.empty(n + 7)
-    # the address, read several times faster than through buf.ctypes.data
-    start = (-ctypes.addressof(ctypes.c_char.from_buffer(buf)) % 64) // 8
-    return buf[start : start + n].reshape(shape)
+def _zeros_64(n: int) -> np.ndarray:
+    """n float64 zeros starting on a 64-byte boundary.  np.zeros promises
+    16 bytes, and OpenBLAS ran B @ A about half as fast on blocks 16 bytes
+    past a 32-byte boundary (wide-model adapters, 2-core x86 host)."""
+    buf = np.zeros(n + 7)
+    start = (-buf.ctypes.data % 64) // 8
+    return buf[start : start + n]
 
 
 class TinyMlp:
@@ -124,8 +114,7 @@ class TinyMlp:
     def __init__(self, config: ModelConfig):
         self.config = config
         shapes = [(config.hidden_dim, config.input_dim), (config.n_classes, config.hidden_dim)]
-        self._phi = _empty_64((sum((d + k) * config.rank for d, k in shapes),))
-        self._phi.fill(0.0)
+        self._phi = _zeros_64(sum((d + k) * config.rank for d, k in shapes))
         self.layers, offset = [], 0
         for d, k in shapes:
             self.layers.append(LoraLayer(np.zeros((d, k)), config.rank, config.alpha, self._phi, offset))
@@ -134,7 +123,7 @@ class TinyMlp:
     def __setstate__(self, state):
         """A copy (deepcopy, pickle, copy.copy) gets its own aligned phi and
         new layers viewing it, so it never rebinds the original's layers."""
-        self.__dict__.update(state, _phi=_empty_64(state["_phi"].shape))
+        self.__dict__.update(state, _phi=_zeros_64(state["_phi"].size))
         self._phi[...] = state["_phi"]
         self.layers = [LoraLayer(l.W0, l.rank, l.alpha, self._phi, l.offset) for l in self.layers]
 
@@ -248,19 +237,6 @@ def _loss_and_weight_grads(model: TinyMlp, X, y):
     return loss, [D.T @ X_in for X_in, D in deltas]
 
 
-def _pull_back(model: TinyMlp, dWs: list[np.ndarray]) -> np.ndarray:
-    """Adapter gradient from per-layer effective-weight gradients: per
-    layer grad_B = (alpha/r) dW A' and grad_A = (alpha/r) B' dW."""
-    out = np.empty(model.phi.size)
-    for layer, dW in zip(model.layers, dWs):
-        grad_B, grad_A = layer._blocks(out)
-        np.matmul(dW, layer.A.T, out=grad_B)
-        np.matmul(layer.B.T, dW, out=grad_A)
-        grad_B *= layer.scaling
-        grad_A *= layer.scaling
-    return out
-
-
 def backward(model: TinyMlp, X, y, weights=None, out=None) -> tuple[float, np.ndarray]:
     """Mean-over-batch loss and adapter gradient g_phi (flat, length d_phi).
 
@@ -301,7 +277,14 @@ def _split_weight_space(model: TinyMlp, g_full: np.ndarray) -> list[np.ndarray]:
 def jacobian_transpose_apply(model: TinyMlp, g_full) -> np.ndarray:
     """Pull a full-weight-space gradient back to adapter space: per layer
     grad_B = (alpha/r) Ghat A' and grad_A = (alpha/r) B' Ghat."""
-    return _pull_back(model, _split_weight_space(model, g_full))
+    out = np.empty(model.phi.size)
+    for layer, dW in zip(model.layers, _split_weight_space(model, g_full)):
+        grad_B, grad_A = layer._blocks(out)
+        np.matmul(dW, layer.A.T, out=grad_B)
+        np.matmul(layer.B.T, dW, out=grad_A)
+        grad_B *= layer.scaling
+        grad_A *= layer.scaling
+    return out
 
 
 def jacobian_apply(model: TinyMlp, dphi) -> np.ndarray:

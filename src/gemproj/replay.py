@@ -25,7 +25,7 @@ from itertools import accumulate, zip_longest
 
 import numpy as np
 
-from .adapter_model import TinyMlp, _empty_64, adapter_dim, backward, effective_weights
+from .adapter_model import TinyMlp, adapter_dim, backward, effective_weights
 from .projector import ConstraintMatrix
 
 logger = logging.getLogger(__name__)
@@ -186,11 +186,11 @@ def build_constraint_matrix(
 
     Every task's backward pass shares one set of effective weights
     (``weights``, if the caller already formed them for this phi) and
-    writes its gradient straight into its row of G, which starts on a
-    64-byte boundary.  Rows are unit-normalized in place by default;
-    zero-norm rows are dropped with a logged warning either way.
+    writes its gradient straight into its row of G.  Rows are
+    unit-normalized in place by default; zero-norm rows are dropped with
+    a logged warning either way.
     """
-    G = _empty_64((len(tasks), adapter_dim(model)))
+    G = np.empty((len(tasks), adapter_dim(model)))
     weights = effective_weights(model) if weights is None else weights
     for row, t in zip(G, tasks):
         task_gradient(buffer, t, model, weights, out=row)

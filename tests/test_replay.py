@@ -352,14 +352,6 @@ def test_build_rows_equal_normalized_task_gradients():
     assert np.array_equal(G.data, rows / np.linalg.norm(rows, axis=1)[:, None])
 
 
-def test_effective_weights_and_constraint_matrix_start_on_64_byte_boundaries():
-    model = small_model()
-    buf = _filled_buffer(model, tasks=(0, 1, 2))
-    G = build_constraint_matrix(buf, model, [0, 1, 2])
-    for a in am.effective_weights(model) + [G.data]:
-        assert a.ctypes.data % 64 == 0
-
-
 # --- the trainer on top of the buffer ----------------------------------------------------
 
 SMALL_MODEL = am.ModelConfig(input_dim=8, hidden_dim=6, n_classes=4, rank=2, alpha=8.0)
