@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-CHECKPOINT_FORMAT_VERSION = "1"
+CHECKPOINT_FORMAT_VERSION = "2"
 
 
 @dataclass(frozen=True)
@@ -37,9 +37,6 @@ class ModelConfig:
     n_classes: int = 4
     rank: int = 4
     alpha: float = 32.0
-    # Uniform half-width for A entries is adapter_init_scale / sqrt(k).
-    adapter_init_scale: float = 1.0
-    activation: str = "tanh"  # smooth, so finite-difference checks are clean
 
     def __post_init__(self):
         if self.rank < 1:
@@ -48,8 +45,6 @@ class ModelConfig:
             self.n_classes, self.hidden_dim
         ):
             raise ValueError("rank must satisfy r <= min(d, k) in every layer")
-        if self.activation != "tanh":
-            raise ValueError("only the tanh nonlinearity is supported")
 
 
 class LoraLayer:
@@ -104,8 +99,8 @@ def _zeros_64(n: int) -> np.ndarray:
 
 
 class TinyMlp:
-    """Two LoRA layers (input->hidden, hidden->classes) with tanh between;
-    the second layer is the classification head, loss is softmax CE.
+    """Two LoRA layers (input->hidden, hidden->classes) with tanh between (smooth,
+    so finite-difference checks are clean); the second is the head, loss softmax CE.
 
     ``phi`` is the only store of the adapters: B_0, A_0, B_1, A_1 back to
     back, each row-major.  Base weights and adapters start at zero.
@@ -133,14 +128,14 @@ class TinyMlp:
 
 
 def build_model(config: ModelConfig, seed: int = 0) -> TinyMlp:
-    """Construct a model with random base weights, B = 0 and small uniform A
-    (the adapted model starts identical to the base)."""
+    """Construct a model with random base weights, B = 0 and A uniform on
+    +-1/sqrt(k) (the adapted model starts identical to the base)."""
     rng = np.random.default_rng([seed, 0xBA5E])
     model = TinyMlp(config)
     for layer in model.layers:
         d, k = layer.W0.shape
         layer.W0[...] = rng.standard_normal((d, k)) / np.sqrt(k)
-        half_width = config.adapter_init_scale / np.sqrt(k)
+        half_width = 1.0 / np.sqrt(k)
         layer.A[...] = rng.uniform(-half_width, half_width, size=(config.rank, k))
     return model
 

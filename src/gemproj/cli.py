@@ -274,7 +274,3 @@ def main(argv=None) -> int:
     except (CliError, ValueError, FileNotFoundError, NonFiniteLossError) as e:
         print(f"error: {e}", file=sys.stderr)
         return RUN_DIVERGED if isinstance(e, NonFiniteLossError) else USAGE_ERROR
-
-
-if __name__ == "__main__":
-    sys.exit(main())

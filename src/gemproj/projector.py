@@ -20,8 +20,7 @@ All arithmetic is float64.
 from __future__ import annotations
 
 import logging
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -122,8 +121,7 @@ class ProjectionResult:
 
     ``projected_gradient`` is always reconstructible as
     ``input gradient + G' @ final_lambda.lam``.  ``max_violation`` is
-    max_k(-(G g~)_k) clipped at zero, and ``wall_time`` is measured with
-    the monotonic clock around the full call.
+    max_k(-(G g~)_k) clipped at zero.
     """
 
     projected_gradient: np.ndarray
@@ -131,7 +129,6 @@ class ProjectionResult:
     dual_value: float
     iterations_used: int
     max_violation: float
-    wall_time: float = field(repr=False, default=0.0)
 
 
 def _checked(G: ConstraintMatrix, g, lam=None) -> tuple[np.ndarray, np.ndarray | None]:
@@ -168,10 +165,10 @@ def dual_gradient(lam, G: ConstraintMatrix, g) -> np.ndarray:
     return G.data @ (G.data.T @ lam) + G.data @ g
 
 
-def _identity(g: np.ndarray, final: DualState, t0: float) -> ProjectionResult:
+def _identity(g: np.ndarray) -> ProjectionResult:
     """The result with no constraints: g itself, no multipliers, no work."""
-    return ProjectionResult(g.copy(), final, dual_value=0.0, iterations_used=0,
-                            max_violation=0.0, wall_time=time.perf_counter() - t0)
+    return ProjectionResult(g.copy(), DualState(np.zeros(0)), dual_value=0.0,
+                            iterations_used=0, max_violation=0.0)
 
 
 def _max_violation(G: ConstraintMatrix, g_tilde: np.ndarray) -> float:
@@ -194,7 +191,6 @@ def pgd_project(
     ``floor`` (GEM's memory strength) clips lam at that margin instead of
     at zero.
     """
-    t0 = time.perf_counter()
     g, _ = _checked(G, g, warm.lam)
     if eta <= 0.0:
         raise ValueError("eta must be > 0")
@@ -209,7 +205,7 @@ def pgd_project(
         raise ValueError("warm-start lambda has a negative component")
 
     if G.rows == 0:
-        return _identity(g, DualState(np.zeros(0)), t0)
+        return _identity(g)
 
     A = G.data
     Gg = A @ g
@@ -226,7 +222,6 @@ def pgd_project(
         dual_value=dual_value,
         iterations_used=K,
         max_violation=_max_violation(G, g_tilde),
-        wall_time=time.perf_counter() - t0,
     )
 
 
@@ -241,7 +236,6 @@ def exact_qp_project(g, G: ConstraintMatrix) -> ProjectionResult:
     KKT conditions of the cone projection.  More than DEFAULT_ENUM_LIMIT
     constraints raise ActiveSetCapacityError.
     """
-    t0 = time.perf_counter()
     m = G.rows
     if m > DEFAULT_ENUM_LIMIT:
         raise ActiveSetCapacityError(
@@ -253,7 +247,7 @@ def exact_qp_project(g, G: ConstraintMatrix) -> ProjectionResult:
         raise ValueError("non-finite values in gradient")
 
     if m == 0:
-        return _identity(g, DualState(np.zeros(0)), t0)
+        return _identity(g)
 
     A = G.data
     Gg = A @ g
@@ -298,7 +292,6 @@ def exact_qp_project(g, G: ConstraintMatrix) -> ProjectionResult:
         dual_value=_dual_at(A, Gg, best_lam)[1],
         iterations_used=n_evaluated,
         max_violation=_max_violation(G, best_gt),
-        wall_time=time.perf_counter() - t0,
     )
 
 
@@ -321,16 +314,14 @@ def agem_project(g, g_ref) -> np.ndarray:
     return g - (dot / denom) * g_ref
 
 
-def violation_check(g, G: ConstraintMatrix, tol: float = 0.0) -> tuple[bool, float]:
-    """Report whether any constraint is violated beyond tol.
+def violation_check(g, G: ConstraintMatrix) -> tuple[bool, float]:
+    """Report whether any constraint is violated.
 
     Returns (violated, worst) where worst = min_k (G g)_k, or +inf when
     there are no constraints.
     """
-    if tol < 0.0:
-        raise ValueError("tol must be >= 0")
     g, _ = _checked(G, g)
     if G.rows == 0:
         return (False, np.inf)
     worst = float((G.data @ g).min())
-    return (worst < -tol, worst)
+    return (worst < 0.0, worst)

@@ -25,7 +25,7 @@ from .datagen import StreamSpec
 from .metrics import AccuracyMatrix, aggregate, compute_all
 from .trainer import NonFiniteLossError, RunLog, TrainConfig
 
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 
 
 def environment_fingerprint() -> dict:

@@ -54,9 +54,9 @@ SPECTRAL_REUSE = 10
 # check fails on NaN as well
 _RANGES = (
     (("lr", "adamw_eps"), "> 0", lambda v: v > 0),
-    (("pgd_iterations", "train_mb_size", "eval_mb_size", "train_epochs", "n_experiences",
-      "patterns_per_exp", "memory_size", "power_iters"), ">= 1", lambda v: v >= 1),
-    (("weight_decay", "memory_strength", "violation_tol", "eval_every"), ">= 0", lambda v: v >= 0),
+    (("pgd_iterations", "train_mb_size", "eval_mb_size", "n_experiences",
+      "patterns_per_exp", "memory_size"), ">= 1", lambda v: v >= 1),
+    (("weight_decay", "memory_strength", "eval_every"), ">= 0", lambda v: v >= 0),
     (("adamw_beta1", "adamw_beta2"), "in [0, 1)", lambda v: 0 <= v < 1),
     (("stepsize_safety",), "in (0, 1]", lambda v: 0 < v <= 1),
 )
@@ -70,7 +70,6 @@ class TrainConfig:
     stepsize_safety: float = 0.7     # c in eta = c / sigma_hat
     train_mb_size: int = 32
     eval_mb_size: int = 50
-    train_epochs: int = 1
     n_experiences: int = 3
     seed: int = 0
     optimizer: str = "sgd"
@@ -79,11 +78,8 @@ class TrainConfig:
     adamw_eps: float = 1e-8
     weight_decay: float = 0.0
     memory_strength: float = 0.0     # igem dual floor (GEM's margin); 0 disables it
-    skip_when_feasible: bool = False
-    violation_tol: float = 0.0
     patterns_per_exp: int = 100
     memory_size: int = 150
-    power_iters: int = 3
     eval_every: int = 0              # 0 disables mid-task accuracy curves
     dump_buffers: bool = False       # snapshot replay buffers into the run log
 
@@ -255,7 +251,8 @@ def _diverged(state: TrainerState, loss: float, reason: str) -> NonFiniteLossErr
 def train_step(state: TrainerState, X, y) -> StepRecord:
     """One step of the training loop (loss, constraint build, projection,
     optimizer update, buffer update, warm-start carryover).  The effective
-    weights are formed once and shared by every backward pass of the step."""
+    weights are formed once and shared by every backward pass of the step.
+    ``proj_time`` times the method's projection alone, igem's sigma_hat included."""
     cfg = state.config
     weights = am.effective_weights(state.model)
     loss, g = am.backward(state.model, X, y, weights=weights)
@@ -266,6 +263,7 @@ def train_step(state: TrainerState, X, y) -> StepRecord:
     projecting = bool(past) and cfg.method != "naive"
 
     g_tilde = g
+    result = None
     projected = False
     proj_time = 0.0
     lambda_norm = 0.0
@@ -273,43 +271,37 @@ def train_step(state: TrainerState, X, y) -> StepRecord:
     violation_before = 0.0
     if projecting:
         G = build_constraint_matrix(state.buffers, state.model, past, weights=weights)
-        violated, worst = violation_check(g, G, cfg.violation_tol)
+        worst = violation_check(g, G)[1]
         violation_before = max(0.0, -worst) if np.isfinite(worst) else 0.0
-        if cfg.skip_when_feasible and not violated:
-            pass  # opt-in skip path; the default projects every step
-        elif cfg.method == "agem":
+        if cfg.method == "agem":
             g_ref = _agem_reference_gradient(state, past, weights)
-            t0 = time.perf_counter()
+        t0 = time.perf_counter()
+        if cfg.method == "agem":
             g_tilde = agem_project(g, g_ref)
-            proj_time = time.perf_counter() - t0
-            projected = True
-            max_violation = max(0.0, -float(g_tilde.dot(g_ref))) if g_ref.dot(g_ref) else 0.0
         elif cfg.method == "gem_exact":
             result = exact_qp_project(g, G)
-            g_tilde = result.projected_gradient
-            proj_time = result.wall_time
-            lambda_norm = float(np.linalg.norm(result.final_lambda.lam))
-            max_violation = result.max_violation
-            projected = True
         else:  # igem
             if state.dual.lam.shape[0] != G.rows:
                 # constraint count changed (zero-norm row drop): both go stale
                 state.dual = DualState.cold(G.rows)
                 state.sigma = None
             if state.sigma is None or state.sigma_age >= SPECTRAL_REUSE:
-                state.sigma = power_iteration(G, iters=cfg.power_iters, seed=cfg.seed)
+                state.sigma = power_iteration(G, seed=cfg.seed)
                 state.sigma_age = 0
             else:
                 state.sigma_age += 1
             if state.sigma > 0.0:
                 eta = stepsize(state.sigma, cfg.stepsize_safety)
                 result = pgd_project(g, G, state.dual, eta, cfg.pgd_iterations, floor=cfg.memory_strength)
-                g_tilde = result.projected_gradient
-                proj_time = result.wall_time
-                lambda_norm = float(np.linalg.norm(result.final_lambda.lam))
-                max_violation = result.max_violation
                 state.dual = result.final_lambda  # carry over as warm start
-                projected = True
+        projected = cfg.method == "agem" or result is not None
+        proj_time = time.perf_counter() - t0 if projected else 0.0
+        if cfg.method == "agem":
+            max_violation = max(0.0, -float(g_tilde.dot(g_ref))) if g_ref.dot(g_ref) else 0.0
+        elif result is not None:
+            g_tilde = result.projected_gradient
+            lambda_norm = float(np.linalg.norm(result.final_lambda.lam))
+            max_violation = result.max_violation
         if projected:
             state.log.timing.add(proj_time)
 
@@ -395,17 +387,15 @@ def run_experiences(
     R[0] = _eval_all(model, stream, config.eval_mb_size)
     for t, split in enumerate(stream):
         start_task(state, t)
-        n = split.n_train
-        for _ in range(config.train_epochs):
-            order = state.rng.permutation(n)
-            for i in range(0, n, config.train_mb_size):
-                idx = order[i : i + config.train_mb_size]
-                train_step(state, split.train_x[idx], split.train_y[idx])
-                if config.eval_every and state.global_step % config.eval_every == 0:
-                    accs = _eval_all(model, stream, config.eval_mb_size)
-                    state.log.curve.append(
-                        {"step": state.global_step, "task": t, "acc": accs.tolist()}
-                    )
+        order = state.rng.permutation(split.n_train)
+        for i in range(0, split.n_train, config.train_mb_size):
+            idx = order[i : i + config.train_mb_size]
+            train_step(state, split.train_x[idx], split.train_y[idx])
+            if config.eval_every and state.global_step % config.eval_every == 0:
+                accs = _eval_all(model, stream, config.eval_mb_size)
+                state.log.curve.append(
+                    {"step": state.global_step, "task": t, "acc": accs.tolist()}
+                )
         R[t + 1] = _eval_all(model, stream, config.eval_mb_size)
         state.log.checkpoints.append({"after_task": t, "acc": R[t + 1].tolist()})
     if config.dump_buffers:

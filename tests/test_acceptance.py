@@ -118,8 +118,10 @@ def test_criterion_07_cost_model_linear_fit(igem_grid):
 
 def test_criterion_07b_cell_prediction_within_25_percent():
     # dedicated lattice around the (m=2, d=1e5, K=3) cell: its neighbors share
-    # the small-m kernel regime, so the local fit predicts it
-    lattice = bench_igem_grid(ms=(2, 4), ds=(50_000, 100_000, 200_000), ks=(3, 9), reps=9)
+    # the small-m kernel regime, so the local fit predicts it; a cell's minimum
+    # over 120 rounds is far steadier than over 9 and costs about 4 s here
+    lattice = bench_igem_grid(ms=(2, 4), ds=(50_000, 100_000, 200_000), ks=(3, 9),
+                              warmup=5, reps=120)
     err = adjacent_fit_error(lattice, m=2, d=100_000, K=3)
     print(f"criterion 7b: cell (m=2, d=1e5, K=3) off the adjacent-cell fit by {err:.1%} (tol 25%)")
     assert err <= 0.25

@@ -285,6 +285,25 @@ def test_checkpoint_rejects_unknown_version(tmp_path):
         am.load_checkpoint(str(path))
 
 
+def test_format_1_checkpoint_is_refused_by_version_not_by_config(tmp_path):
+    import json
+
+    # format 1 echoed the two ModelConfig fields format 2 dropped
+    model = small_model()
+    path = tmp_path / "model.npz"
+    am.save_checkpoint(model, str(path))
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files}
+    meta = json.loads(bytes(arrays["meta"]).decode())
+    assert meta["format_version"] == "2"
+    meta["format_version"] = "1"
+    meta["config"].update(adapter_init_scale=1.0, activation="tanh")
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    np.savez(path, **arrays)
+    with pytest.raises(ValueError, match="unsupported checkpoint format version '1'"):
+        am.load_checkpoint(str(path))
+
+
 def test_checkpoint_rejects_wrong_array_shape(tmp_path):
     model = small_model()
     path = tmp_path / "model.npz"

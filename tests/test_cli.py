@@ -1,5 +1,8 @@
 import json
 import os
+import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -40,7 +43,7 @@ def test_config_echo_round_trips():
 
 def test_run_result_document_shape():
     doc, _ = small_doc()
-    assert doc["schema_version"] == "2"
+    assert doc["schema_version"] == "3"
     assert doc["kind"] == "run_result"
     R = np.array(doc["accuracy_matrix"])
     assert R.shape == (4, 3)
@@ -48,9 +51,10 @@ def test_run_result_document_shape():
     assert set(doc["metrics"]) >= {"avg_acc", "bwt", "fwt", "forgetting", "mpo"}
     # document survives a JSON round trip
     assert parse_run_result(json.dumps(doc))["metrics"]["avg_acc"] == doc["metrics"]["avg_acc"]
-    # a version-1 document echoes config fields that no longer exist
-    with pytest.raises(ValueError, match="schema version"):
-        parse_run_result(json.dumps({**doc, "schema_version": "1"}))
+    # version-1 and version-2 documents echo config fields that no longer exist
+    for old in ("1", "2"):
+        with pytest.raises(ValueError, match="schema version"):
+            parse_run_result(json.dumps({**doc, "schema_version": old}))
 
 
 def test_atomic_write_leaves_no_partial_files(tmp_path):
@@ -130,6 +134,27 @@ def test_cli_run_invalid_config_names_field(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "methodz" in err
+
+
+@pytest.mark.parametrize("field,value", [
+    ("train_epochs", 2), ("power_iters", 30), ("skip_when_feasible", True), ("violation_tol", 0.1),
+])
+def test_cli_config_with_a_removed_field_exits_2_before_writing(tmp_path, capsys, field, value):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"train": {field: value}}))
+    out = tmp_path / "o"
+    assert run_cli("run", "--config", str(cfg_path), "--out", str(out)) == 2
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_python_dash_m_gemproj_runs_the_cli():
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run([sys.executable, "-m", "gemproj", "verify", "metrics"], cwd=root,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert [line.split()[0] for line in proc.stdout.splitlines()] == ["PASS"] * 4
 
 
 def test_cli_run_bad_json_reports_line(tmp_path, capsys):
@@ -250,16 +275,13 @@ def test_cli_worker_pool_is_clamped_to_cell_count(tmp_path, monkeypatch):
 @pytest.mark.parametrize("flag,value,field", [
     ("--train-mb-size", "0", "train_mb_size"),
     ("--eval-mb-size", "0", "eval_mb_size"),
-    ("--train-epochs", "0", "train_epochs"),
     ("--n-experiences", "0", "n_experiences"),
-    ("--power-iters", "0", "power_iters"),
     ("--stepsize-safety", "5", "stepsize_safety"),
     ("--stepsize-safety", "0", "stepsize_safety"),
     ("--adamw-beta1", "1", "adamw_beta1"),
     ("--adamw-beta2", "-0.5", "adamw_beta2"),
     ("--adamw-eps", "0", "adamw_eps"),
     ("--weight-decay", "-1", "weight_decay"),
-    ("--violation-tol", "nan", "violation_tol"),
     ("--eval-every", "-1", "eval_every"),
     ("--memory-size", "0", "memory_size"),
     ("--patterns-per-exp", "0", "patterns_per_exp"),

@@ -1,4 +1,5 @@
 import dataclasses
+import time
 
 import numpy as np
 import pytest
@@ -132,7 +133,7 @@ def test_large_budget_igem_step_matches_exact_step():
     results = {}
     for method, K in (("gem_exact", 1), ("igem", 3000)):
         state = _fresh_state(method=method, seed=2, optimizer="sgd",
-                             pgd_iterations=K, stepsize_safety=0.9, power_iters=30)
+                             pgd_iterations=K, stepsize_safety=0.9)
         rng = np.random.default_rng(7)
         start_task(state, 0)
         for _ in range(3):
@@ -280,15 +281,6 @@ def test_igem_violation_not_worse_than_unprojected():
     assert ok / len(projected) >= 0.99
 
 
-def test_skip_when_feasible_path():
-    matrix, log = small_run("igem", seed=0, skip_when_feasible=True, violation_tol=0.0)
-    steps_with_constraints = [r for r in log.steps if r.task > 0]
-    skipped = [r for r in steps_with_constraints if not r.projected]
-    # feasible steps are skipped, violating ones are still projected
-    assert all(r.violation_before == 0.0 for r in skipped)
-    assert all(r.projected for r in steps_with_constraints if r.violation_before > 0.0)
-
-
 def test_mpo_recorded_only_for_projecting_methods():
     _, log_naive = small_run("naive", seed=0)
     _, log_igem = small_run("igem", seed=0)
@@ -344,6 +336,41 @@ def test_spectral_estimate_serves_its_own_projection_and_the_next_ten(monkeypatc
     run_experiences(TrainConfig(method="igem", seed=0, optimizer="adamw"), generate_stream(spec), model)
     assert steps_in_task == {0: 25, 1: 25, 2: 25}
     assert refreshes == {1: [0, 11, 22], 2: [0, 11, 22]}
+
+
+# long enough that scheduler noise cannot carry a step across it
+STAGE_PAUSE = 0.01
+
+
+@pytest.mark.parametrize("method,stage,timed", [
+    ("igem", "power_iteration", True),
+    ("agem", "_agem_reference_gradient", False),
+])
+def test_proj_time_is_one_timer_around_the_projection(monkeypatch, method, stage, timed):
+    # a slowed stage shows in proj_time exactly when it belongs to the projection:
+    # igem's spectral estimate does, agem's reference backward does not
+    _, plain = small_run(method, seed=0)
+    real_stage, real_step = getattr(trainer, stage), trainer.train_step
+    calls, slowed = [], []
+
+    def slow_stage(*args, **kwargs):
+        time.sleep(STAGE_PAUSE)
+        calls.append(1)
+        return real_stage(*args, **kwargs)
+
+    def recording_step(state, X, y):
+        before = len(calls)
+        rec = real_step(state, X, y)
+        if len(calls) > before:
+            slowed.append(rec)
+        return rec
+
+    monkeypatch.setattr(trainer, stage, slow_stage)
+    monkeypatch.setattr(trainer, "train_step", recording_step)
+    _, log = small_run(method, seed=0)
+    assert slowed and all(r.projected for r in slowed)
+    assert all((r.proj_time >= STAGE_PAUSE) == timed for r in slowed)
+    assert log.timing.n_proj == plain.timing.n_proj
 
 
 def test_exact_projection_first_order_loss_certificate():
