@@ -37,7 +37,7 @@ for task, split in enumerate(stream[:2]):
 print(f"total stored = {buf.total_size()} (cap {buf.total_cap}; largest task "
       "sheds its oldest entries first)")
 
-G = build_constraint_matrix(buf, model, tasks=[0, 1], normalize=True)
+G = build_constraint_matrix(buf, model, tasks=[0, 1])
 print(f"\nconstraint matrix: {G.rows} x {G.dim}, row norms "
       f"{np.round(np.linalg.norm(G.data, axis=1), 9)}")
 

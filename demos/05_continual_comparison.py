@@ -18,7 +18,7 @@ for method in ("naive", "gem_exact", "igem"):
     model = prepare_model(spec, SEED)  # same pretrained base for every method
     cfg = TrainConfig(method=method, seed=SEED, optimizer="adamw")
     matrix, log = run_experiences(cfg, stream, model)
-    results[method] = (matrix, compute_all(matrix, log.timing, n_classes=spec.n_classes))
+    results[method] = (matrix, compute_all(matrix, log.proj_times, n_classes=spec.n_classes))
 
 for method, (matrix, _) in results.items():
     print(f"\naccuracy matrix for {method} (row 0 = frozen-base baseline):")

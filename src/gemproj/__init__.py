@@ -27,7 +27,6 @@ from .adapter_model import (
 from .datagen import ExperienceSplit, StreamSpec, dump_csv, generate_stream, ingest_csv
 from .metrics import (
     AccuracyMatrix,
-    TimingRecord,
     aggregate,
     avg_acc,
     bwt,

@@ -82,29 +82,34 @@ def _load_config_file(path: str) -> dict:
             raise CliError(f"{path}:{e.lineno}:{e.colno}: invalid JSON: {e.msg}") from None
     if not isinstance(doc, dict):
         raise CliError(f"{path}: top level must be a JSON object")
-    for key in doc:
-        if key not in ("train", "stream", "methods", "seeds"):
+    sections = {"train": dict, "stream": dict, "methods": list, "seeds": list}
+    for key, value in doc.items():
+        if key not in sections:
             raise CliError(f"{path}: unknown config section {key!r}")
+        if not isinstance(value, sections[key]):
+            kind = "an object" if sections[key] is dict else "a list"
+            raise CliError(f"{path}: section {key!r} must be {kind}, got {value!r}")
     return doc
 
 
-def _build_train_config(base: dict, method: str, seed: int) -> TrainConfig:
-    d = dict(base)
-    d["method"] = method
-    d["seed"] = seed
+def _build_cell(train: dict, stream: dict, method: str, seed: int) -> tuple[TrainConfig, StreamSpec]:
+    """One grid cell's config and stream spec, both checked (priors included)."""
     try:
-        return TrainConfig.from_dict(d)
+        config = TrainConfig.from_dict({**train, "method": method, "seed": seed})
     except (TypeError, ValueError) as e:
         raise CliError(f"invalid train config: {e}") from None
+    try:
+        spec = StreamSpec(**{**stream, "seed": seed, "n_experiences": config.n_experiences})
+        spec.priors()
+    except (TypeError, ValueError) as e:
+        raise CliError(f"invalid stream config: {e}") from None
+    return config, spec
 
 
-def execute_run(train_dict: dict, stream_dict: dict, data_csv: str | None):
+def execute_run(config: TrainConfig, spec: StreamSpec, data_csv: str | None):
     """One (method, seed) cell; top-level so grid workers can pickle it.
     Returns (result document, run log), or (failure document, None) when
     the run diverged."""
-    config = TrainConfig.from_dict(train_dict)
-    spec = StreamSpec(**{**stream_dict, "seed": config.seed,
-                         "n_experiences": config.n_experiences})
     if data_csv is not None:
         stream = ingest_csv(data_csv, n_classes=spec.n_classes, seed=config.seed)
         if len(stream) != config.n_experiences:
@@ -129,19 +134,17 @@ def cmd_run(args) -> int:
     stream_base.update(_collect_overrides(args, StreamSpec,
                                           skip=("seed", "n_experiences", "prior_schedule")))
     methods = args.methods.split(",") if args.methods else file_cfg.get("methods", ["igem"])
-    if args.seeds:
-        seeds = [int(s) for s in args.seeds.split(",")]
-    else:
-        seeds = file_cfg.get("seeds", [0])
+    seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else file_cfg.get("seeds", [0])
 
     if args.data is not None and not os.path.exists(args.data):
         raise CliError(f"dataset file not found: {args.data}")
+    for name, values in (("method", methods), ("seed", seeds)):
+        repeated = [v for i, v in enumerate(values) if v in values[:i]]
+        if repeated:
+            raise CliError(f"{name} {repeated[0]!r} appears more than once in the grid")
 
-    cells = []
-    for method in methods:
-        for seed in seeds:
-            cfg = _build_train_config(train_base, method, seed)  # validate up front
-            cells.append(cfg.to_dict())
+    # every cell is checked before the output directory exists
+    cells = [_build_cell(train_base, stream_base, method, seed) for method in methods for seed in seeds]
 
     raw = os.environ.get("GEMPROJ_WORKERS", "1")
     if not raw.strip().isdigit() or int(raw) < 1:
@@ -152,16 +155,14 @@ def cmd_run(args) -> int:
 
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outputs = list(pool.map(execute_run, cells,
-                                    [stream_base] * len(cells), [args.data] * len(cells)))
+            outputs = list(pool.map(execute_run, *zip(*cells), [args.data] * len(cells)))
     else:
-        outputs = [execute_run(c, stream_base, args.data) for c in cells]
+        outputs = [execute_run(cfg, spec, args.data) for cfg, spec in cells]
 
     per_method: dict[str, list[dict]] = {}
     diverged = []
-    for cfg_dict, (doc, log) in zip(cells, outputs):
-        method, seed = cfg_dict["method"], cfg_dict["seed"]
-        stem = f"run_{method}_seed{seed}"
+    for (cfg, _), (doc, log) in zip(cells, outputs):
+        stem = f"run_{cfg.method}_seed{cfg.seed}"
         if log is None:
             path = os.path.join(out_dir, stem + ".failed.json")
             write_json(path, doc)
@@ -170,7 +171,7 @@ def cmd_run(args) -> int:
             continue
         write_json(os.path.join(out_dir, stem + ".json"), doc)
         write_curves_csv(os.path.join(out_dir, stem + "_curves.csv"), log)
-        per_method.setdefault(method, []).append(doc)
+        per_method.setdefault(cfg.method, []).append(doc)
         print(f"wrote {stem}.json  avg_acc={doc['metrics']['avg_acc']:.4f}")
     write_json(os.path.join(out_dir, "aggregate.json"), build_aggregate(per_method))
     print(f"wrote aggregate.json ({len(cells) - len(diverged)} runs)")

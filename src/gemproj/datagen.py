@@ -17,7 +17,8 @@ import csv
 import hashlib
 import logging
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -32,6 +33,27 @@ DEFAULT_MEAN_SCALE = 2.0
 DEFAULT_NOISE_SCALE = 1.0
 
 
+def check_ranges(obj, ranges):
+    """Raise ValueError naming the first field in ``ranges`` that is not a number
+    of its declared type (an int field takes integers only) within its range."""
+    ints = {f.name for f in fields(obj) if f.type in ("int", int)}
+    for names, rule, ok in ranges:
+        for name in names:
+            value = getattr(obj, name)
+            kind = "an integer" if name in ints else "a number"
+            if not isinstance(value, numbers.Integral if name in ints else numbers.Real) or not ok(value):
+                raise ValueError(f"{name} must be {kind} {rule}, got {value!r}")
+
+
+# (fields, rule, check) per numeric StreamSpec field, failing on NaN; priors() checks the rest
+_RANGES = (
+    (("n_classes", "n_experiences", "feature_dim"), ">= 1", lambda v: v >= 1),
+    (("n_per_experience",), ">= 2", lambda v: v >= 2),
+    (("seed",), ">= 0", lambda v: v >= 0),
+    (("prior_concentration",), "in [0, 1]", lambda v: 0 <= v <= 1),
+)
+
+
 @dataclass(frozen=True)
 class StreamSpec:
     n_classes: int = 4
@@ -43,6 +65,9 @@ class StreamSpec:
     noise_scale: float = DEFAULT_NOISE_SCALE
     seed: int = 0
     prior_schedule: tuple[tuple[float, ...], ...] | None = None
+
+    def __post_init__(self):
+        check_ranges(self, _RANGES)
 
     def priors(self) -> np.ndarray:
         """Per-experience class-probability vectors, each summing to 1."""

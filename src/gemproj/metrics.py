@@ -8,17 +8,17 @@ tasks return None when T = 1; callers must not coerce that to 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
 
 @dataclass
 class AccuracyMatrix:
-    """(T+1) x T accuracy grid plus the baseline vector used by FWT."""
+    """(T+1) x T accuracy grid; row 0 is the baseline used by FWT."""
 
     R: np.ndarray
-    baseline: np.ndarray = field(default=None)
 
     def __post_init__(self):
         self.R = np.asarray(self.R, dtype=np.float64)
@@ -26,32 +26,14 @@ class AccuracyMatrix:
             raise ValueError(f"R must have shape (T+1, T), got {self.R.shape}")
         if np.any(self.R < 0.0) or np.any(self.R > 1.0):
             raise ValueError("accuracies must lie in [0, 1]")
-        if self.baseline is None:
-            self.baseline = self.R[0].copy()
-        else:
-            self.baseline = np.asarray(self.baseline, dtype=np.float64)
-            if self.baseline.shape != (self.T,):
-                raise ValueError(f"baseline must have shape ({self.T},)")
 
     @property
     def T(self) -> int:
         return self.R.shape[1]
 
-
-@dataclass
-class TimingRecord:
-    """Wall-clock durations of individual projection calls (monotonic clock)."""
-
-    durations: list[float] = field(default_factory=list)
-
-    def add(self, tau: float):
-        if tau < 0.0:
-            raise ValueError("projection duration must be >= 0")
-        self.durations.append(float(tau))
-
     @property
-    def n_proj(self) -> int:
-        return len(self.durations)
+    def baseline(self) -> np.ndarray:
+        return self.R[0]
 
 
 def avg_acc(am: AccuracyMatrix) -> float:
@@ -93,22 +75,22 @@ def forgetting(am: AccuracyMatrix) -> float | None:
     return float(np.mean(drops))
 
 
-def mpo(timing: TimingRecord) -> float | None:
-    """Mean projection overhead: arithmetic mean of the recorded durations,
-    or None when no projection ever ran."""
-    if timing.n_proj == 0:
+def mpo(durations: Sequence[float]) -> float | None:
+    """Mean projection overhead: arithmetic mean of the projection call
+    durations, or None when no projection ever ran."""
+    if len(durations) == 0:
         return None
-    return float(np.mean(timing.durations))
+    return float(np.mean(durations))
 
 
-def compute_all(am: AccuracyMatrix, timing: TimingRecord | None = None, n_classes: int | None = None) -> dict:
+def compute_all(am: AccuracyMatrix, proj_times: Sequence[float] | None = None, n_classes: int | None = None) -> dict:
     """Assemble the metric block; absent metrics are None, never 0."""
     out = {
         "avg_acc": avg_acc(am),
         "bwt": bwt(am),
         "fwt": fwt(am),
         "forgetting": forgetting(am),
-        "mpo": mpo(timing) if timing is not None else None,
+        "mpo": mpo(proj_times) if proj_times is not None else None,
     }
     if n_classes is not None:
         chance = np.full(am.T, 1.0 / n_classes)

@@ -179,19 +179,17 @@ def build_constraint_matrix(
     buffer: ReplayBuffer,
     model: TinyMlp,
     tasks: list[int],
-    normalize: bool = True,
     weights=None,
 ) -> ConstraintMatrix:
-    """Stack one averaged-gradient row per past task (current phi).
+    """Stack one unit-norm averaged-gradient row per past task (current phi).
 
     Every task's backward pass shares one set of effective weights
     (``weights``, if the caller already formed them for this phi) and
-    writes its gradient straight into its row of G.  Rows are
-    unit-normalized in place by default; zero-norm rows are dropped with
-    a logged warning either way.
+    writes its gradient straight into its row of G, which is then
+    normalized in place; zero-norm rows are dropped with a logged warning.
     """
     G = np.empty((len(tasks), adapter_dim(model)))
     weights = effective_weights(model) if weights is None else weights
     for row, t in zip(G, tasks):
         task_gradient(buffer, t, model, weights, out=row)
-    return ConstraintMatrix.from_rows(G, normalize=normalize, in_place=True)
+    return ConstraintMatrix.from_rows(G, normalize=True, in_place=True)

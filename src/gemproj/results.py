@@ -25,7 +25,7 @@ from .datagen import StreamSpec
 from .metrics import AccuracyMatrix, aggregate, compute_all
 from .trainer import NonFiniteLossError, RunLog, TrainConfig
 
-SCHEMA_VERSION = "3"
+SCHEMA_VERSION = "4"
 
 
 def environment_fingerprint() -> dict:
@@ -63,17 +63,16 @@ def build_run_result(
         "environment": environment_fingerprint(),
         "accuracy_matrix": [[float(v) for v in row] for row in am_matrix.R],
         "baseline": [float(v) for v in am_matrix.baseline],
-        "metrics": compute_all(am_matrix, log.timing, n_classes=spec.n_classes),
-        "n_projections": log.timing.n_proj,
+        "metrics": compute_all(am_matrix, log.proj_times, n_classes=spec.n_classes),
+        "n_projections": len(log.proj_times),
         "n_steps": len(log.steps),
-        "diagnostics": log.diagnostics,
         **({"replay_buffers": log.buffer_dump} if log.buffer_dump is not None else {}),
     }
 
 
 def build_run_failure(config: TrainConfig, spec: StreamSpec, error: NonFiniteLossError) -> dict:
-    """Document for a run that diverged: the config echo, the error and the
-    run log's diagnostic records."""
+    """Document for a run that diverged: the config echo, the error and its
+    diagnostic records."""
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "run_failure",

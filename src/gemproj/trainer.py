@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import adapter_model as am
-from .datagen import ExperienceSplit
-from .metrics import AccuracyMatrix, TimingRecord
+from .datagen import ExperienceSplit, check_ranges
+from .metrics import AccuracyMatrix
 from .projector import (
     DEFAULT_ENUM_LIMIT,
     DualState,
@@ -38,8 +38,7 @@ OPTIMIZERS = ("sgd", "adamw")
 
 class NonFiniteLossError(RuntimeError):
     """Raised when a step produces a non-finite loss, gradient or parameter
-    update.  When ``train_step`` raises it, the run log already holds a
-    diagnostic record, and ``diagnostics`` carries the log's records."""
+    update; from ``train_step``, ``diagnostics`` holds the failing step's record."""
 
     def __init__(self, message: str, diagnostics=()):
         super().__init__(message)
@@ -56,7 +55,7 @@ _RANGES = (
     (("lr", "adamw_eps"), "> 0", lambda v: v > 0),
     (("pgd_iterations", "train_mb_size", "eval_mb_size", "n_experiences",
       "patterns_per_exp", "memory_size"), ">= 1", lambda v: v >= 1),
-    (("weight_decay", "memory_strength", "eval_every"), ">= 0", lambda v: v >= 0),
+    (("weight_decay", "memory_strength"), ">= 0", lambda v: v >= 0),
     (("adamw_beta1", "adamw_beta2"), "in [0, 1)", lambda v: 0 <= v < 1),
     (("stepsize_safety",), "in (0, 1]", lambda v: 0 < v <= 1),
 )
@@ -80,7 +79,6 @@ class TrainConfig:
     memory_strength: float = 0.0     # igem dual floor (GEM's margin); 0 disables it
     patterns_per_exp: int = 100
     memory_size: int = 150
-    eval_every: int = 0              # 0 disables mid-task accuracy curves
     dump_buffers: bool = False       # snapshot replay buffers into the run log
 
     def __post_init__(self):
@@ -88,11 +86,7 @@ class TrainConfig:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
-        for names, rule, ok in _RANGES:
-            for name in names:
-                value = getattr(self, name)
-                if not ok(value):
-                    raise ValueError(f"{name} must be {rule}, got {value!r}")
+        check_ranges(self, _RANGES)
         if self.method == "gem_exact" and self.n_experiences - 1 > DEFAULT_ENUM_LIMIT:
             raise ValueError(f"n_experiences must be <= {DEFAULT_ENUM_LIMIT + 1} for gem_exact "
                              f"(at most {DEFAULT_ENUM_LIMIT} past tasks), got {self.n_experiences}")
@@ -124,19 +118,20 @@ class StepRecord:
 
 @dataclass
 class RunLog:
-    """Append-only per-step records plus per-checkpoint accuracy rows."""
+    """Append-only per-step records, plus the final replay buffers under ``dump_buffers``."""
 
     steps: list[StepRecord] = field(default_factory=list)
-    checkpoints: list[dict] = field(default_factory=list)
-    curve: list[dict] = field(default_factory=list)
-    diagnostics: list[dict] = field(default_factory=list)
-    timing: TimingRecord = field(default_factory=TimingRecord)
     buffer_dump: dict | None = None
 
     def add_step(self, rec: StepRecord):
         if self.steps and rec.timestamp < self.steps[-1].timestamp:
             raise ValueError("step timestamps must be monotone")
         self.steps.append(rec)
+
+    @property
+    def proj_times(self) -> list[float]:
+        """``proj_time`` of every projected step, in step order."""
+        return [r.proj_time for r in self.steps if r.projected]
 
 
 @dataclass
@@ -239,13 +234,13 @@ def _agem_reference_gradient(state: TrainerState, past: list[int], weights) -> n
 
 
 def _diverged(state: TrainerState, loss: float, reason: str) -> NonFiniteLossError:
-    """Record a diagnostic for the current step and return the error to raise
+    """The error to raise for the current step, carrying its diagnostic record
     (a non-finite loss is kept as its repr: the record must stay valid JSON)."""
     loss = float(loss)
-    state.log.diagnostics.append({"task": state.task_index, "step": state.global_step,
-                                  "loss": loss if np.isfinite(loss) else repr(loss), "reason": reason})
+    record = {"task": state.task_index, "step": state.global_step,
+              "loss": loss if np.isfinite(loss) else repr(loss), "reason": reason}
     return NonFiniteLossError(f"{reason} at task {state.task_index} step {state.global_step}",
-                              state.log.diagnostics)
+                              [record])
 
 
 def train_step(state: TrainerState, X, y) -> StepRecord:
@@ -302,8 +297,6 @@ def train_step(state: TrainerState, X, y) -> StepRecord:
             g_tilde = result.projected_gradient
             lambda_norm = float(np.linalg.norm(result.final_lambda.lam))
             max_violation = result.max_violation
-        if projected:
-            state.log.timing.add(proj_time)
 
     try:
         new_phi = optimizer_step(state.model.phi, g_tilde, state.opt, cfg)
@@ -391,13 +384,7 @@ def run_experiences(
         for i in range(0, split.n_train, config.train_mb_size):
             idx = order[i : i + config.train_mb_size]
             train_step(state, split.train_x[idx], split.train_y[idx])
-            if config.eval_every and state.global_step % config.eval_every == 0:
-                accs = _eval_all(model, stream, config.eval_mb_size)
-                state.log.curve.append(
-                    {"step": state.global_step, "task": t, "acc": accs.tolist()}
-                )
         R[t + 1] = _eval_all(model, stream, config.eval_mb_size)
-        state.log.checkpoints.append({"after_task": t, "acc": R[t + 1].tolist()})
     if config.dump_buffers:
         state.log.buffer_dump = state.buffers.to_dict()
     return AccuracyMatrix(R), state.log

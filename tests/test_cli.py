@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import pathlib
@@ -43,16 +44,17 @@ def test_config_echo_round_trips():
 
 def test_run_result_document_shape():
     doc, _ = small_doc()
-    assert doc["schema_version"] == "3"
+    assert doc["schema_version"] == "4"
     assert doc["kind"] == "run_result"
     R = np.array(doc["accuracy_matrix"])
     assert R.shape == (4, 3)
     assert doc["environment"]["precision"] == "float64"
     assert set(doc["metrics"]) >= {"avg_acc", "bwt", "fwt", "forgetting", "mpo"}
+    assert "diagnostics" not in doc  # only a failure document carries them
     # document survives a JSON round trip
     assert parse_run_result(json.dumps(doc))["metrics"]["avg_acc"] == doc["metrics"]["avg_acc"]
-    # version-1 and version-2 documents echo config fields that no longer exist
-    for old in ("1", "2"):
+    # documents of versions 1-3 echo config fields that no longer exist
+    for old in ("1", "2", "3"):
         with pytest.raises(ValueError, match="schema version"):
             parse_run_result(json.dumps({**doc, "schema_version": old}))
 
@@ -83,6 +85,19 @@ def test_curves_csv_has_one_row_per_step(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0].startswith("task,step,loss")
     assert len(lines) == 1 + doc["n_steps"]
+
+
+def test_projection_count_and_mpo_match_the_curves_csv(tmp_path):
+    out = tmp_path / "res"
+    assert run_cli("run", "--methods", "naive,igem", "--seeds", "0", "--out", str(out),
+                   "--n-per-experience", "200", "--feature-dim", "8") == 0
+    for method in ("naive", "igem"):
+        doc = json.loads((out / f"run_{method}_seed0.json").read_text())
+        with open(out / f"run_{method}_seed0_curves.csv", newline="") as fh:
+            times = [float(r["proj_time"]) for r in csv.DictReader(fh) if r["projected"] == "1"]
+        assert doc["n_projections"] == len(times)
+        assert doc["metrics"]["mpo"] == (float(np.mean(times)) if times else None)
+    assert doc["n_projections"] > 0  # igem projects once a past task exists
 
 
 # --- CLI subcommands ---------------------------------------------------------------
@@ -138,6 +153,7 @@ def test_cli_run_invalid_config_names_field(tmp_path, capsys):
 
 @pytest.mark.parametrize("field,value", [
     ("train_epochs", 2), ("power_iters", 30), ("skip_when_feasible", True), ("violation_tol", 0.1),
+    ("eval_every", 3),
 ])
 def test_cli_config_with_a_removed_field_exits_2_before_writing(tmp_path, capsys, field, value):
     cfg_path = tmp_path / "cfg.json"
@@ -145,6 +161,31 @@ def test_cli_config_with_a_removed_field_exits_2_before_writing(tmp_path, capsys
     out = tmp_path / "o"
     assert run_cli("run", "--config", str(cfg_path), "--out", str(out)) == 2
     assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config", [
+    {"seeds": 0}, {"train": [1]}, {"stream": {"bogus": 1}}, {"stream": {"n_classes": "4"}},
+    {"methods": "igem"}, {"seeds": [1.5]},
+])
+def test_cli_malformed_config_file_exits_2_before_writing(tmp_path, capsys, config):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "o"
+    assert run_cli("run", "--config", str(cfg_path), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("methods,seeds,repeated", [
+    ("naive", "0,0", "seed 0"), ("naive,igem,naive", "0", "method 'naive'"),
+])
+def test_cli_rejects_a_repeated_grid_cell_before_writing(tmp_path, capsys, methods, seeds, repeated):
+    out = tmp_path / "o"
+    assert run_cli("run", "--methods", methods, "--seeds", seeds, "--out", str(out)) == 2
+    assert f"{repeated} appears more than once" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -282,11 +323,14 @@ def test_cli_worker_pool_is_clamped_to_cell_count(tmp_path, monkeypatch):
     ("--adamw-beta2", "-0.5", "adamw_beta2"),
     ("--adamw-eps", "0", "adamw_eps"),
     ("--weight-decay", "-1", "weight_decay"),
-    ("--eval-every", "-1", "eval_every"),
     ("--memory-size", "0", "memory_size"),
     ("--patterns-per-exp", "0", "patterns_per_exp"),
     ("--memory-strength", "-0.1", "memory_strength"),
     ("--pgd-iterations", "0", "pgd_iterations"),
+    ("--n-classes", "0", "n_classes"),
+    ("--feature-dim", "0", "feature_dim"),
+    ("--n-per-experience", "1", "n_per_experience"),
+    ("--prior-concentration", "2", "prior_concentration"),
 ])
 def test_cli_rejects_out_of_range_config_before_writing(tmp_path, capsys, flag, value, field):
     out = tmp_path / "o"

@@ -3,7 +3,6 @@ import pytest
 
 from gemproj.metrics import (
     AccuracyMatrix,
-    TimingRecord,
     aggregate,
     avg_acc,
     bwt,
@@ -15,8 +14,8 @@ from gemproj.metrics import (
 from gemproj.verify import peaked_forgetting_gap
 
 
-def matrix(R, baseline=None):
-    return AccuracyMatrix(np.asarray(R, dtype=float), baseline)
+def matrix(R):
+    return AccuracyMatrix(np.asarray(R, dtype=float))
 
 
 # its AvgAcc/BWT/FWT/F hand values are checked by verify.two_task_fixture_errors
@@ -62,9 +61,9 @@ def test_forgetting_equals_neg_bwt_when_peak_at_own_checkpoint():
 
 
 def test_mpo_examples():
-    assert mpo(TimingRecord([1.0, 3.0])) == pytest.approx(2.0)
-    assert mpo(TimingRecord([0.5])) == pytest.approx(0.5)
-    assert mpo(TimingRecord([])) is None
+    assert mpo([1.0, 3.0]) == pytest.approx(2.0)
+    assert mpo([0.5]) == pytest.approx(0.5)
+    assert mpo([]) is None
 
 
 def test_avg_acc_is_invariant_under_task_relabeling():
@@ -81,12 +80,10 @@ def test_accuracy_matrix_validation():
         matrix(np.zeros((3, 3)))  # not (T+1) x T
     with pytest.raises(ValueError):
         matrix(np.full((3, 2), 1.5))  # out of [0, 1]
-    with pytest.raises(ValueError):
-        TimingRecord().add(-1.0)
 
 
 def test_compute_all_uses_null_not_zero_for_absent():
-    out = compute_all(matrix([[0.3], [0.6]]), TimingRecord([]), n_classes=4)
+    out = compute_all(matrix([[0.3], [0.6]]), [], n_classes=4)
     assert out["avg_acc"] == pytest.approx(0.6)
     assert out["bwt"] is None and out["fwt"] is None
     assert out["forgetting"] is None and out["mpo"] is None

@@ -7,7 +7,7 @@ import pytest
 from gemproj import adapter_model as am
 from gemproj import trainer
 from gemproj.datagen import StreamSpec, generate_stream
-from gemproj.projector import exact_qp_project
+from gemproj.projector import ConstraintMatrix, exact_qp_project
 from gemproj.replay import ReplayBuffer, _water_fill, build_constraint_matrix, task_gradient
 
 
@@ -227,7 +227,7 @@ def _filled_buffer(model, tasks=(0, 1), n=6):
 def test_single_past_task_row_is_normalized_gradient():
     model = small_model()
     buf = _filled_buffer(model, tasks=(0,))
-    G = build_constraint_matrix(buf, model, [0], normalize=True)
+    G = build_constraint_matrix(buf, model, [0])
     raw = task_gradient(buf, 0, model)
     assert G.rows == 1
     np.testing.assert_allclose(G.data[0], raw / np.linalg.norm(raw), rtol=1e-12)
@@ -236,7 +236,7 @@ def test_single_past_task_row_is_normalized_gradient():
 def test_rows_unit_norm_when_normalized():
     model = small_model()
     buf = _filled_buffer(model)
-    G = build_constraint_matrix(buf, model, [0, 1], normalize=True)
+    G = build_constraint_matrix(buf, model, [0, 1])
     np.testing.assert_allclose(np.linalg.norm(G.data, axis=1), np.ones(G.rows), atol=1e-9)
 
 
@@ -245,8 +245,8 @@ def test_normalization_does_not_move_the_projection():
     model = small_model()
     buf = _filled_buffer(model)
     g = np.random.default_rng(0).standard_normal(am.adapter_dim(model))
-    G_on = build_constraint_matrix(buf, model, [0, 1], normalize=True)
-    G_off = build_constraint_matrix(buf, model, [0, 1], normalize=False)
+    G_on = build_constraint_matrix(buf, model, [0, 1])
+    G_off = ConstraintMatrix(np.stack([task_gradient(buf, t, model) for t in (0, 1)]))
     a = exact_qp_project(g, G_on).projected_gradient
     b = exact_qp_project(g, G_off).projected_gradient
     assert np.linalg.norm(a - b) <= 1e-9
@@ -347,7 +347,7 @@ def test_insert_rejects_malformed_batches():
 def test_build_rows_equal_normalized_task_gradients():
     model = small_model()
     buf = _filled_buffer(model, tasks=(0, 1, 2))
-    G = build_constraint_matrix(buf, model, [0, 1, 2], normalize=True)
+    G = build_constraint_matrix(buf, model, [0, 1, 2])
     rows = np.stack([task_gradient(buf, t, model) for t in (0, 1, 2)])
     assert np.array_equal(G.data, rows / np.linalg.norm(rows, axis=1)[:, None])
 
