@@ -23,9 +23,11 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
+import numpy as np
+
 from . import bench as bench_mod
 from . import verify as verify_mod
-from .datagen import StreamSpec, dump_csv, generate_stream, ingest_csv
+from .datagen import StreamSpec, dump_csv, generate_stream, read_csv, split_table
 from .results import (
     build_aggregate,
     build_run_failure,
@@ -106,18 +108,28 @@ def _build_cell(train: dict, stream: dict, method: str, seed: int) -> tuple[Trai
     return config, spec
 
 
-def execute_run(config: TrainConfig, spec: StreamSpec, data_csv: str | None):
+def _read_data(path: str, config: TrainConfig, spec: StreamSpec) -> np.ndarray:
+    """Parse the data CSV once for the whole grid and check it against the
+    grid's feature count, experience count and split size."""
+    table = read_csv(path, n_classes=spec.n_classes)
+    dim = table.dtype["x"].shape[0]
+    if dim != spec.feature_dim:
+        raise CliError(f"{path}: input has dim {dim}, expected feature_dim {spec.feature_dim}"
+                       f" (pass --feature-dim {dim})")
+    ids, counts = np.unique(table["experience"], return_counts=True)
+    if len(ids) != config.n_experiences:
+        raise CliError(f"{path}: has {len(ids)} experiences, config expects {config.n_experiences}")
+    if counts.min() < 2:
+        raise CliError(f"{path}: experience {ids[counts.argmin()]} has 1 row, needs at least 2")
+    return table
+
+
+def execute_run(config: TrainConfig, spec: StreamSpec, table: np.ndarray | None):
     """One (method, seed) cell; top-level so grid workers can pickle it.
-    Returns (result document, run log), or (failure document, None) when
-    the run diverged."""
-    if data_csv is not None:
-        stream = ingest_csv(data_csv, n_classes=spec.n_classes, seed=config.seed)
-        if len(stream) != config.n_experiences:
-            raise CliError(
-                f"{data_csv}: has {len(stream)} experiences, config expects {config.n_experiences}"
-            )
-    else:
-        stream = generate_stream(spec)
+    ``table`` is the parsed data CSV (``read_csv``), split here with the
+    cell's seed, or None for the synthetic stream.  Returns (result
+    document, run log), or (failure document, None) when the run diverged."""
+    stream = generate_stream(spec) if table is None else split_table(table, config.seed)
     model = prepare_model(spec, config.seed)
     try:
         matrix, log = run_experiences(config, stream, model)
@@ -143,8 +155,9 @@ def cmd_run(args) -> int:
         if repeated:
             raise CliError(f"{name} {repeated[0]!r} appears more than once in the grid")
 
-    # every cell is checked before the output directory exists
+    # every cell, and the data CSV, is checked before the output directory exists
     cells = [_build_cell(train_base, stream_base, method, seed) for method in methods for seed in seeds]
+    table = None if args.data is None else _read_data(args.data, *cells[0])
 
     raw = os.environ.get("GEMPROJ_WORKERS", "1")
     if not raw.strip().isdigit() or int(raw) < 1:
@@ -155,9 +168,9 @@ def cmd_run(args) -> int:
 
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outputs = list(pool.map(execute_run, *zip(*cells), [args.data] * len(cells)))
+            outputs = list(pool.map(execute_run, *zip(*cells), [table] * len(cells)))
     else:
-        outputs = [execute_run(cfg, spec, args.data) for cfg, spec in cells]
+        outputs = [execute_run(cfg, spec, table) for cfg, spec in cells]
 
     per_method: dict[str, list[dict]] = {}
     diverged = []

@@ -8,7 +8,8 @@ function of (seed, experience id, row index), and presented in an order
 shuffled per seed.
 
 External numeric datasets come in through ``ingest_csv`` with the schema
-``f0,...,f{n-1},label,experience`` (UTF-8, header row required).
+``f0,...,f{n-1},label,experience`` (UTF-8, header row required): one
+checked C parse (``read_csv``), then a per-seed split (``split_table``).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import hashlib
 import logging
 import math
 import numbers
+import warnings
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -202,71 +204,106 @@ def csv_header(feature_dim: int) -> list[str]:
 
 def dump_csv(splits: list[ExperienceSplit], path: str):
     """Write a stream back out in the ingestion schema (train and test rows
-    of each experience, in order) for reproducibility audits."""
+    of each experience, in order) for reproducibility audits.
+
+    Features are written as ``repr`` of each float, so ingesting the file
+    reads back the same bits; lines end in ``\\r\\n``."""
     if not splits:
         raise ValueError("nothing to dump: empty stream")
     dim = splits[0].train_x.shape[1]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(csv_header(dim))
+        fh.write(",".join(csv_header(dim)) + "\r\n")
         for split in splits:
             for X, y in ((split.train_x, split.train_y), (split.test_x, split.test_y)):
-                for xi, yi in zip(X, y):
-                    writer.writerow([repr(float(v)) for v in xi] + [int(yi), split.experience_id])
+                for xi, yi in zip(X.tolist(), y.tolist()):
+                    fh.write(f"{','.join(map(repr, xi))},{yi},{split.experience_id}\r\n")
 
 
-def ingest_csv(path: str, n_classes: int, seed: int = 0) -> list[ExperienceSplit]:
-    """Load an external numeric-feature dataset and split it 80/20 per
-    experience with the run seed.
+def _first_bad_row(path: str, dim: int, n_classes: int) -> str | None:
+    """The diagnostic for the first data row the schema refuses, or None.
 
-    Expected schema: header ``f0,...,f{n-1},label,experience``; every
-    feature cell numeric, labels in [0, n_classes), experience ids
-    integers.  Malformed rows raise with the offending line (and column
-    for non-numeric cells).
-    """
+    Re-reads the file row by row, so it runs only once a parse or check
+    has failed.  The message names the line (counted in CSV records,
+    header = 1) and, for a feature, the column and cell text."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"empty CSV file: {path}") from None
+        next(reader)
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            where = f"{path}:{lineno}"
+            if len(row) != dim + 2:
+                return f"{where}: expected {dim + 2} columns, got {len(row)}"
+            for col, cell in enumerate(row[:dim]):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    return f"{where}: non-numeric feature in column f{col}: {cell!r}"
+                if not math.isfinite(value):
+                    return f"{where}: non-finite feature in column f{col}: {cell!r}"
+            try:
+                label = int(row[dim])
+                int(row[dim + 1])
+            except ValueError:
+                return f"{where}: label/experience must be integers"
+            if not 0 <= label < n_classes:
+                return f"{where}: label {label} outside [0, {n_classes})"
+    return None
+
+
+def read_csv(path: str, n_classes: int) -> np.ndarray:
+    """Parse and check a data CSV in one pass.
+
+    Expected schema: header ``f0,...,f{n-1},label,experience``; every
+    feature cell a finite number, labels integers in [0, n_classes),
+    experience ids integers.  Returns one record per data row, in file
+    order, with fields ``x`` (float64, shape (n,)), ``label`` and
+    ``experience`` (int64).  A malformed file raises ValueError naming the
+    first offending line (and column for a feature cell).
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        first = fh.readline()
+        if not first:
+            raise ValueError(f"empty CSV file: {path}")
+        header = next(csv.reader([first]), [])
         if len(header) < 3 or header[-2:] != ["label", "experience"]:
             raise ValueError(
                 f"{path}: header must be f0,...,f{{n-1}},label,experience, got {header}"
             )
         dim = len(header) - 2
-        by_exp: dict[int, list[tuple[list[float], int, int]]] = {}
-        row_counter = 0
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != dim + 2:
-                raise ValueError(f"{path}:{lineno}: expected {dim + 2} columns, got {len(row)}")
-            feats = []
-            for col, cell in enumerate(row[:dim]):
-                try:
-                    feats.append(float(cell))
-                except ValueError:
-                    raise ValueError(
-                        f"{path}:{lineno}: non-numeric feature in column f{col}: {cell!r}"
-                    ) from None
-            try:
-                label = int(row[dim])
-                exp_id = int(row[dim + 1])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: label/experience must be integers") from None
-            if not 0 <= label < n_classes:
-                raise ValueError(f"{path}:{lineno}: label {label} outside [0, {n_classes})")
-            by_exp.setdefault(exp_id, []).append((feats, label, row_counter))
-            row_counter += 1
-    if not by_exp:
+        dtype = np.dtype([("x", np.float64, (dim,)), ("label", np.int64), ("experience", np.int64)])
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # a file without data rows
+                table = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None,
+                                   quotechar='"', ndmin=1)
+        except ValueError as e:
+            # float()/int() take a few cells the C parser refuses (1_0, non-ASCII
+            # digits, integers past int64); those keep the parser's message
+            raise ValueError(_first_bad_row(path, dim, n_classes) or f"{path}: {e}") from None
+    if len(table) == 0:
         raise ValueError(f"no data rows in CSV file: {path}")
+    label = table["label"]
+    if not (np.isfinite(table["x"]).all() and np.all((0 <= label) & (label < n_classes))):
+        raise ValueError(_first_bad_row(path, dim, n_classes))
+    return table
 
-    splits = []
-    for exp_id in sorted(by_exp):
-        rows = by_exp[exp_id]
-        X = np.array([r[0] for r in rows], dtype=np.float64)
-        y = np.array([r[1] for r in rows], dtype=np.int64)
-        idx = np.array([r[2] for r in rows])
-        splits.append(_split(seed, exp_id, X, y, idx))
-    return splits
+
+def split_table(table: np.ndarray, seed: int) -> list[ExperienceSplit]:
+    """Split a ``read_csv`` table 80/20 per experience with ``seed``.
+
+    Experiences come out in ascending id order; row ids count data rows
+    in file order, so the split is a pure function of the file and seed."""
+    order = np.argsort(table["experience"], kind="stable")
+    ids, starts = np.unique(table["experience"][order], return_index=True)
+    X, y = table["x"], table["label"]
+    return [
+        _split(seed, exp_id, X[rows], y[rows], rows)
+        for exp_id, rows in zip(ids.tolist(), np.split(order, starts[1:]))
+    ]
+
+
+def ingest_csv(path: str, n_classes: int, seed: int = 0) -> list[ExperienceSplit]:
+    """Load an external numeric-feature dataset (``read_csv``) and split it
+    80/20 per experience with the run seed (``split_table``)."""
+    return split_table(read_csv(path, n_classes), seed)

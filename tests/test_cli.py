@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from gemproj.cli import main
-from gemproj.datagen import StreamSpec, generate_stream
+from gemproj.datagen import StreamSpec, generate_stream, read_csv
 from gemproj.results import (
     atomic_write_text,
     build_run_result,
@@ -232,6 +232,65 @@ def test_cli_run_csv_experience_count_mismatch(tmp_path, capsys):
                    "--n-experiences", "2")
     err = capsys.readouterr().err
     assert code == 2 and "3 experiences" in err
+    assert not (tmp_path / "o").exists()
+
+
+def _gen_csv(tmp_path, *flags):
+    data = tmp_path / "data.csv"
+    assert run_cli("gen-data", "--out", str(data), "--n-per-experience", "100", *flags) == 0
+    return data
+
+
+def test_cli_run_non_finite_csv_cell_exits_2_before_writing(tmp_path, capsys):
+    data = _gen_csv(tmp_path, "--feature-dim", "8")
+    lines = data.read_text().splitlines()
+    lines[5] = "nan" + lines[5][lines[5].index(","):]
+    data.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "o"
+    code = run_cli("run", "--methods", "naive", "--data", str(data), "--out", str(out),
+                   "--feature-dim", "8")
+    err = capsys.readouterr().err
+    assert code == 2 and "data.csv:6: non-finite feature in column f0: 'nan'" in err
+    assert not out.exists()
+
+
+def test_cli_run_feature_dim_mismatch_exits_2_before_writing(tmp_path, capsys):
+    data = _gen_csv(tmp_path, "--feature-dim", "8")
+    out = tmp_path / "o"
+    code = run_cli("run", "--methods", "naive", "--data", str(data), "--out", str(out))
+    err = capsys.readouterr().err
+    assert code == 2 and "dim 8, expected feature_dim 32" in err and "--feature-dim 8" in err
+    assert not out.exists()
+
+
+def test_cli_run_one_row_experience_exits_2_before_writing(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    rows = [f"{i}.5,{i % 2},{e}" for i, e in enumerate([0, 0, 1, 2, 2, 2])]
+    data.write_text("f0,label,experience\n" + "\n".join(rows) + "\n")
+    out = tmp_path / "o"
+    code = run_cli("run", "--methods", "naive", "--data", str(data), "--out", str(out),
+                   "--feature-dim", "1")
+    err = capsys.readouterr().err
+    assert code == 2 and "experience 1 has 1 row" in err
+    assert not out.exists()
+
+
+def test_cli_run_parses_the_csv_once_per_grid(tmp_path, monkeypatch):
+    import gemproj.cli as cli
+
+    data = _gen_csv(tmp_path, "--feature-dim", "8")
+    calls = []
+    monkeypatch.setattr(cli, "read_csv", lambda *a, **k: calls.append(a) or read_csv(*a, **k))
+    results = {}
+    for workers in ("1", "2"):
+        monkeypatch.setenv("GEMPROJ_WORKERS", workers)
+        out = tmp_path / f"w{workers}"
+        assert run_cli("run", "--methods", "naive,agem", "--seeds", "0,3", "--data", str(data),
+                       "--out", str(out), "--feature-dim", "8") == 0
+        doc = json.loads((out / "run_agem_seed3.json").read_text())
+        results[workers] = doc["accuracy_matrix"]
+    assert len(calls) == 2  # once per grid, not once per cell
+    assert results["1"] == results["2"]
 
 
 def test_cli_method_flag_singular_alias(tmp_path):

@@ -1,9 +1,14 @@
+import csv
+
 import numpy as np
 import pytest
 
+from gemproj import datagen
 from gemproj.datagen import (
     ExperienceSplit,
     StreamSpec,
+    _split,
+    csv_header,
     dump_csv,
     generate_stream,
     ingest_csv,
@@ -189,6 +194,152 @@ def test_dump_then_ingest_round_trips_features(tmp_path):
     by_id = {s.experience_id: s for s in stream}
     for s in loaded:
         orig = by_id[s.experience_id]
-        want = np.sort(np.concatenate([orig.train_x, orig.test_x]).ravel())
-        got = np.sort(np.concatenate([s.train_x, s.test_x]).ravel())
-        np.testing.assert_array_equal(got, want)  # repr round-trip is exact
+        # an experience's rows sit in the file as its train rows, then its
+        # test rows; the ingested row ids count them in that order
+        file_order = np.argsort(np.concatenate([s.train_rows, s.test_rows]))
+        got_x = np.concatenate([s.train_x, s.test_x])[file_order]
+        got_y = np.concatenate([s.train_y, s.test_y])[file_order]
+        np.testing.assert_array_equal(got_x, np.concatenate([orig.train_x, orig.test_x]))
+        np.testing.assert_array_equal(got_y, np.concatenate([orig.train_y, orig.test_y]))
+
+
+# --- the row-by-row parser ingest_csv replaced, kept as its oracle ----------------
+
+def reference_ingest_csv(path, n_classes, seed=0):
+    """csv.reader, then float()/int() per cell, then split per experience."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        dim = len(header) - 2
+        by_exp = {}
+        row_counter = 0
+        for row in reader:
+            if not row:
+                continue
+            assert len(row) == dim + 2
+            feats = [float(cell) for cell in row[:dim]]
+            label, exp_id = int(row[dim]), int(row[dim + 1])
+            assert 0 <= label < n_classes
+            by_exp.setdefault(exp_id, []).append((feats, label, row_counter))
+            row_counter += 1
+    splits = []
+    for exp_id in sorted(by_exp):
+        rows = by_exp[exp_id]
+        X = np.array([r[0] for r in rows], dtype=np.float64)
+        y = np.array([r[1] for r in rows], dtype=np.int64)
+        idx = np.array([r[2] for r in rows])
+        splits.append(_split(seed, exp_id, X, y, idx))
+    return splits
+
+
+def reference_dump_csv(splits, path):
+    """csv.writer over repr(float(v)), the writer dump_csv replaced."""
+    dim = splits[0].train_x.shape[1]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(csv_header(dim))
+        for split in splits:
+            for X, y in ((split.train_x, split.train_y), (split.test_x, split.test_y)):
+                for xi, yi in zip(X, y):
+                    writer.writerow([repr(float(v)) for v in xi] + [int(yi), split.experience_id])
+
+
+def assert_same_splits(got, want):
+    """Bit for bit: arrays, dtypes, shapes, contiguity, row ids, order."""
+    assert [s.experience_id for s in got] == [s.experience_id for s in want]
+    for g, w in zip(got, want):
+        assert type(g.experience_id) is type(w.experience_id)
+        for name in ("train_x", "train_y", "test_x", "test_y", "train_rows", "test_rows"):
+            a, b = getattr(g, name), getattr(w, name)
+            assert (a.dtype, a.shape, a.flags.c_contiguous) == (b.dtype, b.shape, b.flags.c_contiguous), name
+            assert a.tobytes() == b.tobytes(), name
+
+
+def _spell_float(rng, v):
+    if rng.random() < 0.1:
+        return _pad(rng, rng.choice(["-0.0", "1.", ".5", "7"]))
+    return _pad(rng, rng.choice([repr(v), f"{v:.3g}", f"{v:.17e}", f"{v:.6f}", f"{v:+.4E}"]))
+
+
+def _spell_int(rng, k):
+    text = rng.choice([str(k), f"{k:03d}"] + ([f"+{k}"] if k >= 0 else []))
+    return _pad(rng, text)
+
+
+def _pad(rng, text):
+    return rng.choice([text, f" {text}", f"{text}  ", f"\t{text} ", f'"{text}"', f'"{text}" '])
+
+
+def write_messy_csv(path, rng, dim=3, per_exp=12, exp_ids=(7, -3, 0, 2)):
+    """A valid data CSV spelt the many ways the schema allows: mixed line
+    ends, blank lines, spaces around cells, quoted cells, number spellings
+    and negative experience ids in shuffled row order."""
+    ends = ("\n", "\r\n", "\r")
+    text = ",".join(csv_header(dim)) + rng.choice(ends)
+    for exp_id in rng.permutation(np.repeat(exp_ids, per_exp)).tolist():
+        if rng.random() < 0.15:
+            text += rng.choice(ends)  # blank line
+        values = (rng.standard_normal(dim) * 10.0 ** rng.integers(-6, 7, size=dim)).tolist()
+        cells = [_spell_float(rng, v) for v in values]
+        cells += [_spell_int(rng, int(rng.integers(0, 4))), _spell_int(rng, exp_id)]
+        text += ",".join(cells) + rng.choice(ends)
+    path.write_bytes(text[: -1 if rng.random() < 0.5 else None].encode())
+
+
+@pytest.mark.parametrize("corpus_seed", range(12))
+def test_ingest_matches_the_row_by_row_parser_bit_for_bit(tmp_path, corpus_seed):
+    p = tmp_path / "messy.csv"
+    write_messy_csv(p, np.random.default_rng(corpus_seed))
+    for seed in (0, 5):
+        assert_same_splits(ingest_csv(str(p), n_classes=4, seed=seed),
+                           reference_ingest_csv(str(p), n_classes=4, seed=seed))
+
+
+def test_ingest_of_a_dumped_stream_matches_the_oracle_without_a_second_pass(tmp_path, monkeypatch):
+    p = tmp_path / "dump.csv"
+    dump_csv(generate_stream(StreamSpec(seed=6, n_per_experience=60, feature_dim=7)), str(p))
+    assert b"\r\n" in p.read_bytes()
+    monkeypatch.setattr(datagen, "_first_bad_row", None)  # valid input is parsed once
+    assert_same_splits(ingest_csv(str(p), n_classes=4, seed=6),
+                       reference_ingest_csv(str(p), n_classes=4, seed=6))
+
+
+HEADER = "f0,f1,label,experience"
+
+
+@pytest.mark.parametrize("body,message", [
+    ("1.0,,0,0", r"bad\.csv:2: non-numeric feature in column f1: ''"),
+    ("1.0,2.0,1.0,0", r"bad\.csv:2: label/experience must be integers"),
+    ("1.0,2.0,0,0.5", r"bad\.csv:2: label/experience must be integers"),
+    ("1.0,2.0,0,0\n1.0,2.0,-1,0", r"bad\.csv:3: label -1 outside \[0, 2\)"),
+    ("1.0,2.0,0,0\n   \n1.0,2.0,0,0", r"bad\.csv:3: expected 4 columns, got 1"),
+    ("1.0,2.0,0,0\n#1.0,2.0,0,0", r"bad\.csv:3: non-numeric feature in column f0: '#1.0'"),
+    ("1.0,nan,0,0", r"bad\.csv:2: non-finite feature in column f1: 'nan'"),
+    ("-inf,1.0,0,0", r"bad\.csv:2: non-finite feature in column f0: '-inf'"),
+    ("1.0,1e999,0,0", r"bad\.csv:2: non-finite feature in column f1: '1e999'"),
+    ("1.0,2.0,0,0\n\n\n1.0,oops,0,0", r"bad\.csv:5: non-numeric feature in column f1"),
+    # the first bad line wins, whichever check trips first
+    ("1.0,2.0,5,0\noops,2.0,0,0", r"bad\.csv:2: label 5"),
+    ("nan,2.0,0,0\n1.0,2.0,9,0", r"bad\.csv:2: non-finite feature in column f0"),
+    # float()/int() take these, the C parser does not: refused, naming the cell
+    ("1_0,2.0,0,0", r"bad\.csv: .*'1_0'"),
+    ("1.0,2.0,0,99999999999999999999", r"bad\.csv: .*'99999999999999999999'"),
+    ("\r\n\r\n", r"no data rows in CSV file: .*bad\.csv"),
+])
+def test_malformed_csv_names_line_and_column(tmp_path, body, message):
+    p = tmp_path / "bad.csv"
+    p.write_text(HEADER + "\n" + body + "\n")
+    with pytest.raises(ValueError, match=message):
+        ingest_csv(str(p), n_classes=2)
+
+
+def test_dump_csv_writes_the_bytes_of_the_csv_writer(tmp_path):
+    stream = generate_stream(StreamSpec(seed=3, n_per_experience=30, feature_dim=5))
+    special = np.array([[-0.0, 5e-324, 1e16, 1.7976931348623157e308, 0.1],
+                        [np.nan, np.inf, -np.inf, 123456789.0, 1e-7]])
+    stream.append(ExperienceSplit(train_x=special, train_y=np.array([3, 0]),
+                                  test_x=special[::-1], test_y=np.array([1, 2]), experience_id=-4))
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    dump_csv(stream, str(got))
+    reference_dump_csv(stream, str(want))
+    assert got.read_bytes() == want.read_bytes()
