@@ -41,7 +41,6 @@ from .projector import (
     DualState,
     ProjectionResult,
     agem_project,
-    dual_gradient,
     dual_objective,
     exact_qp_project,
     pgd_project,

@@ -159,12 +159,6 @@ def dual_objective(lam, G: ConstraintMatrix, g) -> float:
     return _dual_at(G.data, G.data @ g, lam)[1]
 
 
-def dual_gradient(lam, G: ConstraintMatrix, g) -> np.ndarray:
-    """Gradient of the dual: (G G') lam + G g, computed as G (G' lam) + G g."""
-    g, lam = _checked(G, g, lam)
-    return G.data @ (G.data.T @ lam) + G.data @ g
-
-
 def _identity(g: np.ndarray) -> ProjectionResult:
     """The result with no constraints: g itself, no multipliers, no work."""
     return ProjectionResult(g.copy(), DualState(np.zeros(0)), dual_value=0.0,
@@ -228,13 +222,15 @@ def pgd_project(
 def exact_qp_project(g, G: ConstraintMatrix) -> ProjectionResult:
     """Exact cone projection by enumeration of all 2^m active sets.
 
-    For each subset S the equality-constrained system
-    (G_S G_S') lam_S = -G_S g is solved (pseudo-inverse fallback when
-    singular); candidates must satisfy lam_S >= -1e-10 and G g~ >= -1e-9.
-    The feasible candidate with minimal 0.5 ||g~ - g||^2 wins, and ties
-    within 1e-12 keep the smaller active set.  The result satisfies the
-    KKT conditions of the cone projection.  More than DEFAULT_ENUM_LIMIT
-    constraints raise ActiveSetCapacityError.
+    G G' and G g are formed once; for each subset S the equality-constrained
+    system (G_S G_S') lam_S = -G_S g is then solved on G G' (pseudo-inverse
+    fallback when singular), as GEM's reference code solves its dual.
+    Candidates must satisfy lam_S >= -1e-10 and G g~ = G g + (G G') lam >= -1e-9.
+    The feasible candidate with minimal 0.5 ||g~ - g||^2 = 0.5 lam' (G G') lam
+    wins, and ties within 1e-12 keep the smaller active set.  g~ and its
+    violation are formed once, in d-space, from the winner.  The result
+    satisfies the KKT conditions of the cone projection.  More than
+    DEFAULT_ENUM_LIMIT constraints raise ActiveSetCapacityError.
     """
     m = G.rows
     if m > DEFAULT_ENUM_LIMIT:
@@ -251,7 +247,7 @@ def exact_qp_project(g, G: ConstraintMatrix) -> ProjectionResult:
 
     A = G.data
     Gg = A @ g
-    best_gt = None
+    M = A @ A.T
     best_lam = None
     best_obj = np.inf
     n_evaluated = 0
@@ -263,35 +259,35 @@ def exact_qp_project(g, G: ConstraintMatrix) -> ProjectionResult:
             lam = np.zeros(m)
             if S:
                 idx = list(S)
-                M = A[idx] @ A[idx].T
+                M_S = M[idx][:, idx]
                 b = -Gg[idx]
                 try:
-                    lam_S = np.linalg.solve(M, b)
-                    if not np.all(np.isfinite(lam_S)):
+                    lam_S = np.linalg.solve(M_S, b)
+                    if not np.isfinite(lam_S).all():
                         raise np.linalg.LinAlgError
                 except np.linalg.LinAlgError:
-                    lam_S = np.linalg.pinv(M) @ b
+                    lam_S = np.linalg.pinv(M_S) @ b
+                if lam_S.min() < -DUAL_NONNEG_TOL:
+                    continue
                 lam[idx] = lam_S
-            if lam.min() < -DUAL_NONNEG_TOL:
+            M_lam = M @ lam
+            if (Gg + M_lam).min() < -FEASIBILITY_TOL:
                 continue
-            g_tilde = g + A.T @ lam
-            if (A @ g_tilde).min() < -FEASIBILITY_TOL:
-                continue
-            diff = g_tilde - g
-            obj = 0.5 * diff.dot(diff)
+            obj = 0.5 * lam.dot(M_lam)
             if obj < best_obj - OBJECTIVE_TIE_TOL:
                 best_obj = obj
-                best_gt = g_tilde
                 best_lam = lam
-    if best_gt is None:
+    if best_lam is None:
         raise ValueError("active-set enumeration found no feasible candidate (numerical breakdown)")
 
+    u, dual_value = _dual_at(A, Gg, best_lam)
+    g_tilde = g + u
     return ProjectionResult(
-        projected_gradient=best_gt,
+        projected_gradient=g_tilde,
         final_lambda=DualState(np.maximum(best_lam, 0.0)),
-        dual_value=_dual_at(A, Gg, best_lam)[1],
+        dual_value=dual_value,
         iterations_used=n_evaluated,
-        max_violation=_max_violation(G, best_gt),
+        max_violation=_max_violation(G, g_tilde),
     )
 
 

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from scipy.optimize import nnls
@@ -7,7 +9,6 @@ from gemproj.projector import (
     ConstraintMatrix,
     DualState,
     agem_project,
-    dual_gradient,
     dual_objective,
     exact_qp_project,
     pgd_project,
@@ -20,7 +21,7 @@ def cm(rows):
     return ConstraintMatrix(np.asarray(rows, dtype=float))
 
 
-# --- dual objective / gradient -------------------------------------------------
+# --- dual objective ------------------------------------------------------------
 
 def test_dual_objective_at_zero_is_zero():
     assert dual_objective([0.0], cm([[1, 0]]), [-1, 0]) == 0.0
@@ -38,13 +39,6 @@ def test_dual_objective_dimension_mismatch():
         dual_objective([1.0, 2.0], cm([[1, 0]]), [-1, 0])
     with pytest.raises(ValueError):
         dual_objective([1.0], cm([[1, 0]]), [-1, 0, 3])
-
-
-def test_dual_gradient_hand_values():
-    np.testing.assert_allclose(dual_gradient([0.0], cm([[1, 0]]), [-1, 0]), [-1.0])
-    # 1*1 + (-1) = 0: lam = 1 is stationary
-    np.testing.assert_allclose(dual_gradient([1.0], cm([[1, 0]]), [-1, 0]), [0.0], atol=1e-15)
-    np.testing.assert_allclose(dual_gradient([0.0, 0.0], cm(np.eye(2)), [3, 4]), [3.0, 4.0])
 
 
 def test_dual_objective_never_materializes_gram():
@@ -211,6 +205,80 @@ def test_exact_agrees_with_nnls_dual_oracle():
         assert np.linalg.norm(res.projected_gradient - gt_nnls) <= 1e-7 * (1 + np.linalg.norm(g))
 
 
+def _exact_qp_d_space(g, A):
+    """The d-space enumeration exact_qp_project used before it moved to G G':
+    every subset re-forms its Gram block and g~ and scores ||g~ - g||^2 in
+    d-space.  Returns (g~, lam, subsets evaluated)."""
+    m = A.shape[0]
+    Gg = A @ g
+    best_gt, best_lam, best_obj, n = None, None, np.inf, 0
+    for size in range(m + 1):
+        for S in combinations(range(m), size):
+            n += 1
+            lam = np.zeros(m)
+            if S:
+                idx = list(S)
+                M = A[idx] @ A[idx].T
+                b = -Gg[idx]
+                try:
+                    lam_S = np.linalg.solve(M, b)
+                    if not np.all(np.isfinite(lam_S)):
+                        raise np.linalg.LinAlgError
+                except np.linalg.LinAlgError:
+                    lam_S = np.linalg.pinv(M) @ b
+                lam[idx] = lam_S
+            if lam.min() < -1e-10:
+                continue
+            g_tilde = g + A.T @ lam
+            if (A @ g_tilde).min() < -1e-9:
+                continue
+            diff = g_tilde - g
+            obj = 0.5 * diff.dot(diff)
+            if obj < best_obj - 1e-12:
+                best_gt, best_lam, best_obj = g_tilde, lam, obj
+    return best_gt, np.maximum(best_lam, 0.0), n
+
+
+def _g_against(rng, G):
+    # push g against a random mix of the rows so that several constraints bind
+    return rng.standard_normal(G.dim) - rng.uniform(0.0, 2.0, G.rows) @ G.data
+
+
+def _equivalence_instances():
+    rng = np.random.default_rng(41)
+    for _ in range(60):
+        m = int(rng.integers(1, 9))
+        d = int(rng.choice([m + 1, 40, 300, 2000]))
+        G = ConstraintMatrix.from_rows(rng.standard_normal((m, d)), normalize=bool(rng.integers(2)))
+        yield _g_against(rng, G), G
+    # rank-deficient G with integer entries, so the Gram blocks of a repeated
+    # row or of a row and its negation are exactly singular on both paths
+    for m, d in [(2, 5), (3, 40), (5, 300), (8, 2000)]:
+        rows = rng.integers(-3, 4, size=(m, d)).astype(float)
+        rows[1] = rows[0]
+        if m > 2:
+            rows[2] = -rows[0]
+        G = ConstraintMatrix(rows)
+        for _ in range(4):
+            yield rng.integers(-5, 6, size=d).astype(float), G
+
+
+def test_exact_matches_d_space_enumeration(monkeypatch):
+    pinv_calls = []
+    pinv = np.linalg.pinv
+    monkeypatch.setattr(np.linalg, "pinv", lambda a: pinv_calls.append(a.shape) or pinv(a))
+    for g, G in _equivalence_instances():
+        before = len(pinv_calls)
+        res = exact_qp_project(g, G)
+        if np.linalg.matrix_rank(G.data) < G.rows:
+            assert len(pinv_calls) > before  # a singular block reached the fallback
+        want_gt, want_lam, want_n = _exact_qp_d_space(g, G.data)
+        np.testing.assert_array_equal(np.flatnonzero(res.final_lambda.lam),
+                                      np.flatnonzero(want_lam))
+        assert res.iterations_used == want_n == 2 ** G.rows
+        assert np.linalg.norm(res.projected_gradient - want_gt) <= 1e-12 * (1 + np.linalg.norm(g))
+
+
 # --- agem_project ---------------------------------------------------------------
 
 def test_agem_removes_violating_component():
@@ -266,7 +334,6 @@ ENTRY_POINTS = {
     "exact_qp_project": lambda g, G: exact_qp_project(g, G),
     "violation_check": lambda g, G: violation_check(g, G),
     "dual_objective": lambda g, G: dual_objective(np.zeros(G.rows), G, g),
-    "dual_gradient": lambda g, G: dual_gradient(np.zeros(G.rows), G, g),
 }
 
 
@@ -302,6 +369,20 @@ def test_pgd_sweeps_g_exactly_2k_plus_3_times(m, d, K):
     MatmulCounter.calls = 0
     pgd_project(rng.standard_normal(d), G, DualState.cold(m), eta=0.5, K=K)
     assert MatmulCounter.calls == 2 * K + 3
+
+
+@pytest.mark.parametrize("m", [1, 3, 8])
+def test_exact_touches_g_four_times_whatever_the_subset_count(m):
+    # G g, G G', G' lam for the winner and the violation check of its g~:
+    # the 2^m active sets are all checked on the m x m Gram matrix
+    rng = np.random.default_rng(m)
+    G = ConstraintMatrix.from_rows(rng.standard_normal((m, 300)), normalize=True)
+    g = _g_against(rng, G)
+    object.__setattr__(G, "data", G.data.view(MatmulCounter))
+    MatmulCounter.calls = 0
+    res = exact_qp_project(g, G)
+    assert res.iterations_used == 2 ** m
+    assert MatmulCounter.calls == 4
 
 
 # --- ConstraintMatrix / DualState ------------------------------------------------
