@@ -7,10 +7,10 @@ from gemproj import (
     ModelConfig,
     ReplayBuffer,
     StreamSpec,
+    backward,
     build_constraint_matrix,
     build_model,
     generate_stream,
-    task_gradient,
 )
 
 spec = StreamSpec(seed=0, n_per_experience=600, feature_dim=8)
@@ -41,6 +41,6 @@ G = build_constraint_matrix(buf, model, tasks=[0, 1])
 print(f"\nconstraint matrix: {G.rows} x {G.dim}, row norms "
       f"{np.round(np.linalg.norm(G.data, axis=1), 9)}")
 
-raw = task_gradient(buf, 0, model)
+_, raw = backward(model, *buf.examples(0))
 print(f"row 0 is task 0's averaged adapter gradient, rescaled: "
       f"cos = {raw @ G.data[0] / np.linalg.norm(raw):.9f}")

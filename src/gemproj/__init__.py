@@ -46,7 +46,7 @@ from .projector import (
     pgd_project,
     violation_check,
 )
-from .replay import ReplayBuffer, build_constraint_matrix, task_gradient
+from .replay import ReplayBuffer, build_constraint_matrix
 from .spectral import power_iteration, stepsize
 from .trainer import (
     NonFiniteLossError,

@@ -160,7 +160,7 @@ def cmd_run(args) -> int:
     table = None if args.data is None else _read_data(args.data, *cells[0])
 
     raw = os.environ.get("GEMPROJ_WORKERS", "1")
-    if not raw.strip().isdigit() or int(raw) < 1:
+    if not raw.strip().isdecimal() or int(raw) < 1:
         raise CliError(f"GEMPROJ_WORKERS must be an integer >= 1, got {raw!r}")
     workers = min(int(raw), len(cells))
     out_dir = args.out
@@ -203,10 +203,20 @@ def cmd_verify(args) -> int:
     return VERIFY_FAILURE if any_fail else 0
 
 
+def _positive_ints(flag: str, text: str) -> tuple[int, ...]:
+    try:
+        values = tuple(int(v) for v in text.split(","))
+    except ValueError:
+        values = ()
+    if not values or min(values) < 1:
+        raise CliError(f"{flag} must be a comma list of integers >= 1, got {text!r}")
+    return values
+
+
 def cmd_bench(args) -> int:
-    ms = tuple(int(v) for v in args.ms.split(","))
-    ds = tuple(int(v) for v in args.ds.split(","))
-    ks = tuple(int(v) for v in args.ks.split(","))
+    ms, ds, ks = (_positive_ints(f"--{name}", getattr(args, name)) for name in ("ms", "ds", "ks"))
+    if args.reps < 1:
+        raise CliError(f"--reps must be >= 1, got {args.reps}")
     rows = bench_mod.bench_igem_grid(ms, ds, ks, reps=args.reps)
     a, b, r2 = bench_mod.linear_fit_r2(rows)
     ordering = bench_mod.bench_ordering()

@@ -51,12 +51,10 @@ def _as_vector(x, name: str) -> np.ndarray:
 class ConstraintMatrix:
     """Stacked past-task gradients, one row per remembered task.
 
-    ``data`` is dense row-major, shape (m, d_phi). ``dropped_rows``
-    records original indices of zero-norm rows removed before scaling.
+    ``data`` is dense row-major, shape (m, d_phi).
     """
 
     data: np.ndarray
-    dropped_rows: tuple[int, ...] = ()
 
     def __post_init__(self):
         arr = np.asarray(self.data, dtype=np.float64)
@@ -95,7 +93,7 @@ class ConstraintMatrix:
             norms = norms[keep]
         if normalize and arr.shape[0] > 0:
             arr = np.divide(arr, norms[:, None], out=arr if in_place else None)
-        return cls(arr, dropped_rows=dropped)
+        return cls(arr)
 
 
 @dataclass

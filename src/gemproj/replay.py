@@ -163,25 +163,14 @@ class ReplayBuffer:
         return self
 
 
-def task_gradient(buffer: ReplayBuffer, task: int, model: TinyMlp, weights=None, out=None) -> np.ndarray:
-    """Mean adapter gradient over the task's full buffer at the current phi.
-
-    ``weights`` are the model's effective weights, if the caller already
-    formed them for this phi; ``out`` receives the gradient, as in
-    ``backward``.
-    """
-    X, y = buffer.examples(task)
-    _, g = backward(model, X, y, weights=weights, out=out)
-    return g
-
-
 def build_constraint_matrix(
     buffer: ReplayBuffer,
     model: TinyMlp,
     tasks: list[int],
     weights=None,
 ) -> ConstraintMatrix:
-    """Stack one unit-norm averaged-gradient row per past task (current phi).
+    """Stack one unit-norm row per past task: the mean adapter gradient over
+    the task's whole buffer at the current phi.
 
     Every task's backward pass shares one set of effective weights
     (``weights``, if the caller already formed them for this phi) and
@@ -191,5 +180,5 @@ def build_constraint_matrix(
     G = np.empty((len(tasks), adapter_dim(model)))
     weights = effective_weights(model) if weights is None else weights
     for row, t in zip(G, tasks):
-        task_gradient(buffer, t, model, weights, out=row)
+        backward(model, *buffer.examples(t), weights=weights, out=row)
     return ConstraintMatrix.from_rows(G, normalize=True, in_place=True)

@@ -108,11 +108,6 @@ def parse_run_result(text: str) -> dict:
     return doc
 
 
-def config_from_document(doc: dict) -> TrainConfig:
-    """Round-trip the echoed config back into a TrainConfig."""
-    return TrainConfig.from_dict(doc["config"])
-
-
 def atomic_write_text(path: str, text: str):
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_", suffix=".part")

@@ -68,7 +68,7 @@ class TrainConfig:
     pgd_iterations: int = 3          # K, the fixed dual-PGD budget
     stepsize_safety: float = 0.7     # c in eta = c / sigma_hat
     train_mb_size: int = 32
-    eval_mb_size: int = 50
+    eval_mb_size: int = 50           # A-GEM's reference batch size
     n_experiences: int = 3
     seed: int = 0
     optimizer: str = "sgd"
@@ -215,9 +215,9 @@ def start_task(state: TrainerState, task_index: int):
 
 
 def _agem_reference_gradient(state: TrainerState, past: list[int], weights) -> np.ndarray:
-    """Averaged gradient over eval_mb_size examples sampled uniformly from
-    the union of all past buffers (resampled every projection), at the
-    step's effective ``weights``."""
+    """Averaged gradient over ``eval_mb_size`` examples (A-GEM's reference
+    batch) sampled uniformly from the union of all past buffers (resampled
+    every projection), at the step's effective ``weights``."""
     xs, ys = [], []
     for t in past:
         X, y = state.buffers.examples(t)
@@ -322,21 +322,16 @@ def train_step(state: TrainerState, X, y) -> StepRecord:
     return rec
 
 
-def evaluate(model: am.TinyMlp, X, y, eval_mb_size: int = 50, weights=None) -> float:
-    """Accuracy of argmax logits; batching never changes the result (``weights`` as in `am.backward`)."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    weights = am.effective_weights(model) if weights is None else weights
-    correct = 0
-    for i in range(0, len(y), eval_mb_size):
-        logits = am.forward(model, X[i : i + eval_mb_size], weights)
-        correct += int((logits.argmax(axis=1) == y[i : i + eval_mb_size]).sum())
-    return correct / len(y)
+def evaluate(model: am.TinyMlp, X, y, weights=None) -> float:
+    """Accuracy of argmax logits over one forward pass of every row
+    (``weights`` as in `am.backward`)."""
+    logits = am.forward(model, X, weights)
+    return float(np.mean(logits.argmax(axis=1) == np.asarray(y)))
 
 
-def _eval_all(model: am.TinyMlp, stream: list[ExperienceSplit], eval_mb_size: int) -> np.ndarray:
+def _eval_all(model: am.TinyMlp, stream: list[ExperienceSplit]) -> np.ndarray:
     weights = am.effective_weights(model)
-    return np.array([evaluate(model, s.test_x, s.test_y, eval_mb_size, weights) for s in stream])
+    return np.array([evaluate(model, s.test_x, s.test_y, weights) for s in stream])
 
 
 # Base-model pretraining schedule: enough pooled uniform-prior steps that the
@@ -377,14 +372,14 @@ def run_experiences(
         raise ValueError(f"stream has {len(stream)} experiences, config expects {T}")
     state = make_state(config, model)
     R = np.zeros((T + 1, T))
-    R[0] = _eval_all(model, stream, config.eval_mb_size)
+    R[0] = _eval_all(model, stream)
     for t, split in enumerate(stream):
         start_task(state, t)
         order = state.rng.permutation(split.n_train)
         for i in range(0, split.n_train, config.train_mb_size):
             idx = order[i : i + config.train_mb_size]
             train_step(state, split.train_x[idx], split.train_y[idx])
-        R[t + 1] = _eval_all(model, stream, config.eval_mb_size)
+        R[t + 1] = _eval_all(model, stream)
     if config.dump_buffers:
         state.log.buffer_dump = state.buffers.to_dict()
     return AccuracyMatrix(R), state.log

@@ -14,7 +14,6 @@ from gemproj.datagen import StreamSpec, generate_stream, read_csv
 from gemproj.results import (
     atomic_write_text,
     build_run_result,
-    config_from_document,
     parse_run_result,
     write_curves_csv,
 )
@@ -39,7 +38,7 @@ def small_doc(seed=0, method="naive"):
 
 def test_config_echo_round_trips():
     doc, _ = small_doc(seed=3, method="agem")
-    assert config_from_document(doc) == TrainConfig(method="agem", seed=3)
+    assert TrainConfig.from_dict(doc["config"]) == TrainConfig(method="agem", seed=3)
 
 
 def test_run_result_document_shape():
@@ -337,11 +336,28 @@ def test_cli_parallel_workers_match_serial(tmp_path, monkeypatch):
     assert results["serial"] == results["parallel"]
 
 
-@pytest.mark.parametrize("value", ["two", "1.5", "", "0", "-3"])
+@pytest.mark.parametrize("value", ["two", "1.5", "", "0", "-3", "²"])
 def test_cli_rejects_bad_worker_count(tmp_path, monkeypatch, capsys, value):
     monkeypatch.setenv("GEMPROJ_WORKERS", value)
     assert run_cli("run", "--methods", "naive", "--seeds", "0", "--out", str(tmp_path)) == 2
     assert "GEMPROJ_WORKERS must be an integer >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--ms", "0"), ("--ms", "8,-1"), ("--ds", "0"), ("--ks", "0"), ("--ks", "3,x"), ("--reps", "0"),
+])
+def test_cli_bench_rejects_non_positive_grid_before_timing(monkeypatch, capsys, flag, value):
+    import gemproj.bench as bench
+
+    def no_timing(*args, **kwargs):
+        raise AssertionError("timed before the flags were checked")
+
+    monkeypatch.setattr(bench, "time_round_robin", no_timing)
+    monkeypatch.setattr(bench, "true_sigma_max", no_timing)
+    grid = {"--ms": "8", "--ds": "1000", "--ks": "3", "--reps": "1", flag: value}
+    assert run_cli("bench", *(a for kv in grid.items() for a in kv)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} must be") and err.count("\n") == 1
 
 
 def test_cli_worker_pool_is_clamped_to_cell_count(tmp_path, monkeypatch):

@@ -1,3 +1,4 @@
+import logging
 from itertools import combinations
 
 import numpy as np
@@ -387,10 +388,12 @@ def test_exact_touches_g_four_times_whatever_the_subset_count(m):
 
 # --- ConstraintMatrix / DualState ------------------------------------------------
 
-def test_from_rows_normalizes_and_drops_zero_rows():
-    G = ConstraintMatrix.from_rows([[3, 4], [0, 0], [0, 2]], normalize=True)
+def test_from_rows_normalizes_and_drops_zero_rows(caplog):
+    with caplog.at_level(logging.WARNING, logger="gemproj.projector"):
+        G = ConstraintMatrix.from_rows([[3, 4], [0, 0], [0, 2]], normalize=True)
     assert G.rows == 2
-    assert G.dropped_rows == (1,)
+    assert [r.getMessage() for r in caplog.records] == [
+        "dropping 1 zero-norm constraint row(s): (1,)"]
     np.testing.assert_allclose(np.linalg.norm(G.data, axis=1), [1.0, 1.0], atol=1e-9)
 
 

@@ -8,7 +8,7 @@ from gemproj import adapter_model as am
 from gemproj import trainer
 from gemproj.datagen import StreamSpec, generate_stream
 from gemproj.projector import ConstraintMatrix, exact_qp_project
-from gemproj.replay import ReplayBuffer, _water_fill, build_constraint_matrix, task_gradient
+from gemproj.replay import ReplayBuffer, _water_fill, build_constraint_matrix
 
 
 class ListReplayBuffer:
@@ -186,7 +186,7 @@ def test_single_example_buffer_matches_backward():
     X, y = make_examples([1], seed=4)
     buf.insert(0, X, y)
     _, want = am.backward(model, X, y)
-    np.testing.assert_array_equal(task_gradient(buf, 0, model), want)
+    np.testing.assert_array_equal(am.backward(model, *buf.examples(0))[1], want)
 
 
 def test_duplicate_examples_equal_single_example_gradient():
@@ -195,7 +195,7 @@ def test_duplicate_examples_equal_single_example_gradient():
     X, y = make_examples([2], seed=5)
     buf.insert(0, np.vstack([X, X]), np.concatenate([y, y]))
     _, want = am.backward(model, X, y)
-    assert np.abs(task_gradient(buf, 0, model) - want).max() <= 1e-12
+    assert np.abs(am.backward(model, *buf.examples(0))[1] - want).max() <= 1e-12
 
 
 def test_two_distinct_examples_average():
@@ -205,13 +205,12 @@ def test_two_distinct_examples_average():
     buf.insert(0, X, y)
     _, g0 = am.backward(model, X[:1], y[:1])
     _, g1 = am.backward(model, X[1:], y[1:])
-    assert np.abs(task_gradient(buf, 0, model) - 0.5 * (g0 + g1)).max() <= 1e-12
+    assert np.abs(am.backward(model, *buf.examples(0))[1] - 0.5 * (g0 + g1)).max() <= 1e-12
 
 
 def test_empty_task_buffer_raises():
-    model = small_model()
     with pytest.raises(ValueError, match="empty"):
-        task_gradient(ReplayBuffer(), 0, model)
+        ReplayBuffer().examples(0)
 
 
 # --- constraint matrix -------------------------------------------------------------
@@ -228,7 +227,7 @@ def test_single_past_task_row_is_normalized_gradient():
     model = small_model()
     buf = _filled_buffer(model, tasks=(0,))
     G = build_constraint_matrix(buf, model, [0])
-    raw = task_gradient(buf, 0, model)
+    raw = am.backward(model, *buf.examples(0))[1]
     assert G.rows == 1
     np.testing.assert_allclose(G.data[0], raw / np.linalg.norm(raw), rtol=1e-12)
 
@@ -246,7 +245,7 @@ def test_normalization_does_not_move_the_projection():
     buf = _filled_buffer(model)
     g = np.random.default_rng(0).standard_normal(am.adapter_dim(model))
     G_on = build_constraint_matrix(buf, model, [0, 1])
-    G_off = ConstraintMatrix(np.stack([task_gradient(buf, t, model) for t in (0, 1)]))
+    G_off = ConstraintMatrix(np.stack([am.backward(model, *buf.examples(t))[1] for t in (0, 1)]))
     a = exact_qp_project(g, G_on).projected_gradient
     b = exact_qp_project(g, G_off).projected_gradient
     assert np.linalg.norm(a - b) <= 1e-9
@@ -348,7 +347,7 @@ def test_build_rows_equal_normalized_task_gradients():
     model = small_model()
     buf = _filled_buffer(model, tasks=(0, 1, 2))
     G = build_constraint_matrix(buf, model, [0, 1, 2])
-    rows = np.stack([task_gradient(buf, t, model) for t in (0, 1, 2)])
+    rows = np.stack([am.backward(model, *buf.examples(t))[1] for t in (0, 1, 2)])
     assert np.array_equal(G.data, rows / np.linalg.norm(rows, axis=1)[:, None])
 
 

@@ -13,7 +13,6 @@ from gemproj.trainer import (
     NonFiniteLossError,
     OptState,
     TrainConfig,
-    evaluate,
     make_state,
     optimizer_step,
     prepare_model,
@@ -372,7 +371,7 @@ def test_exact_projection_first_order_loss_certificate():
     # directional derivative of every buffered past-task loss along the
     # update -g~ is <= 0 (up to tolerance), stated with the raw gradients
     from gemproj.projector import exact_qp_project
-    from gemproj.replay import build_constraint_matrix, task_gradient
+    from gemproj.replay import build_constraint_matrix
 
     state = _fresh_state(method="gem_exact", seed=8)
     rng = np.random.default_rng(3)
@@ -390,7 +389,7 @@ def test_exact_projection_first_order_loss_certificate():
     G = build_constraint_matrix(state.buffers, state.model, past)
     g_tilde = exact_qp_project(g, G).projected_gradient
     for t in past:
-        g_k = task_gradient(state.buffers, t, state.model)
+        _, g_k = backward(state.model, *state.buffers.examples(t))
         assert g_k.dot(-g_tilde) <= 1e-9 * (1 + np.linalg.norm(g_k))
 
 
@@ -403,11 +402,17 @@ def test_buffer_dump_lands_in_run_log():
     assert total <= 12
 
 
-def test_evaluate_is_batch_size_invariant():
-    spec = StreamSpec(seed=0, **SMALL_SPEC)
-    stream = generate_stream(spec)
-    model = prepare_model(spec, 0, model_config=SMALL_MODEL)
-    s = stream[0]
-    a = evaluate(model, s.test_x, s.test_y, eval_mb_size=7)
-    b = evaluate(model, s.test_x, s.test_y, eval_mb_size=50)
-    assert a == b
+def _step_fields(log):
+    return [(r.task, r.step, r.loss, r.lambda_norm, r.max_violation, r.violation_before, r.projected)
+            for r in log.steps]
+
+
+def test_eval_mb_size_sizes_only_the_agem_reference_batch():
+    # evaluation is one forward pass per test set, so the field reaches
+    # nothing but A-GEM's reference sample
+    for method in ("naive", "igem", "gem_exact"):
+        (a, log_a), (b, log_b) = (small_run(method, eval_mb_size=k) for k in (7, 50))
+        assert np.array_equal(a.R, b.R), method
+        assert _step_fields(log_a) == _step_fields(log_b), method
+    (_, log_a), (_, log_b) = (small_run("agem", eval_mb_size=k) for k in (7, 50))
+    assert _step_fields(log_a) != _step_fields(log_b)
