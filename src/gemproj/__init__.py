@@ -8,6 +8,8 @@ desk-scale harness (tiny LoRA classifier, replay buffers, drifted
 synthetic benchmark, CL metric suite) to exercise them end to end.
 """
 
+__version__ = "0.1.0"
+
 from .adapter_model import (
     LoraLayer,
     ModelConfig,
@@ -61,5 +63,3 @@ from .trainer import (
     start_task,
     train_step,
 )
-
-__version__ = "0.1.0"

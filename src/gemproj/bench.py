@@ -75,11 +75,6 @@ def time_round_robin(fns, warmup: int = 3, reps: int = 9) -> list[tuple[float, f
     return [(float(np.mean(t)), float(np.std(t)), float(np.min(t))) for t in times]
 
 
-def time_call(fn, warmup: int = 3, reps: int = 9) -> tuple[float, float, float]:
-    """(mean, std, min) of the wall time of fn() after discarding warmups."""
-    return time_round_robin([fn], warmup, reps)[0]
-
-
 def bench_igem_grid(
     ms=DEFAULT_MS, ds=DEFAULT_DS, ks=DEFAULT_KS, warmup: int = 3, reps: int = 9, seed: int = 0
 ) -> list[BenchRow]:
@@ -109,23 +104,26 @@ def linear_fit_r2(rows: list[BenchRow]) -> tuple[float, float, float]:
     return float(coef[0]), float(coef[1]), r2
 
 
+def adjacent_cells(ms, ds, ks, m: int, d: int, K: int) -> list[tuple[int, int, int]]:
+    """The face-adjacent cells of (m, d, K) on the ms x ds x ks grid: one
+    level step along each of m, d, K."""
+    cell = (m, d, K)
+    out = []
+    for axis, levels in enumerate((sorted(set(ms)), sorted(set(ds)), sorted(set(ks)))):
+        pos = levels.index(cell[axis])
+        for j in (pos - 1, pos + 1):
+            if 0 <= j < len(levels):
+                out.append(cell[:axis] + (levels[j],) + cell[axis + 1:])
+    return out
+
+
 def adjacent_fit_error(rows: list[BenchRow], m: int, d: int, K: int) -> float:
     """Relative gap between a cell's measured time and a linear fit over its
-    face-adjacent grid neighbors (one step along each of m, d, K)."""
+    measured face-adjacent grid neighbors."""
     index = {(r.m, r.d, r.K): r for r in rows}
     target = index[(m, d, K)]
-    ms = sorted({r.m for r in rows})
-    ds = sorted({r.d for r in rows})
-    ks = sorted({r.K for r in rows})
-    neighbors = []
-    for axis_levels, make_key, value in ((ms, lambda v: (v, d, K), m),
-                                         (ds, lambda v: (m, v, K), d),
-                                         (ks, lambda v: (m, d, v), K)):
-        pos = axis_levels.index(value)
-        for step in (-1, 1):
-            j = pos + step
-            if 0 <= j < len(axis_levels) and make_key(axis_levels[j]) in index:
-                neighbors.append(index[make_key(axis_levels[j])])
+    levels = ([r.m for r in rows], [r.d for r in rows], [r.K for r in rows])
+    neighbors = [index[c] for c in adjacent_cells(*levels, m, d, K) if c in index]
     if len(neighbors) < 2:
         raise ValueError("cell needs at least two measured neighbors")
     a, b, _ = linear_fit_r2(neighbors)
@@ -150,11 +148,11 @@ def bench_ordering(
     g_ref = G.data.mean(axis=0)
     warm = DualState.cold(m)
     out = {}
-    stats = time_call(lambda: agem_project(g, g_ref), warmup, reps=50)
+    stats = time_round_robin([lambda: agem_project(g, g_ref)], warmup, 50)[0]
     out["agem"] = BenchRow("agem", m, d, 0, *stats, 50)
-    stats = time_call(lambda: pgd_project(g, G, warm, eta, K), warmup, reps=30)
+    stats = time_round_robin([lambda: pgd_project(g, G, warm, eta, K)], warmup, 30)[0]
     out["igem"] = BenchRow("igem", m, d, K, *stats, 30)
-    stats = time_call(lambda: exact_qp_project(g, G), warmup, reps=10)
+    stats = time_round_robin([lambda: exact_qp_project(g, G)], warmup, 10)[0]
     out["gem_exact"] = BenchRow("gem_exact", m, d, 0, *stats, 10)
     return out
 
@@ -167,9 +165,9 @@ def bench_identity_path(d: int = 100_000, warmup: int = 3, reps: int = 9) -> dic
     G = ConstraintMatrix.empty(d)
     warm = DualState.cold(0)
     out = {}
-    out["agem"] = time_call(lambda: agem_project(g, np.zeros(d)), warmup, reps)[2]
-    out["igem"] = time_call(lambda: pgd_project(g, G, warm, 1.0, 3), warmup, reps)[2]
-    out["gem_exact"] = time_call(lambda: exact_qp_project(g, G), warmup, reps)[2]
+    out["agem"] = time_round_robin([lambda: agem_project(g, np.zeros(d))], warmup, reps)[0][2]
+    out["igem"] = time_round_robin([lambda: pgd_project(g, G, warm, 1.0, 3)], warmup, reps)[0][2]
+    out["gem_exact"] = time_round_robin([lambda: exact_qp_project(g, G)], warmup, reps)[0][2]
     return out
 
 

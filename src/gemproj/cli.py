@@ -217,6 +217,11 @@ def cmd_bench(args) -> int:
     ms, ds, ks = (_positive_ints(f"--{name}", getattr(args, name)) for name in ("ms", "ds", "ks"))
     if args.reps < 1:
         raise CliError(f"--reps must be >= 1, got {args.reps}")
+    cell = (ms[0], ds[len(ds) // 2], ks[0])
+    n_adjacent = len(bench_mod.adjacent_cells(ms, ds, ks, *cell))
+    if n_adjacent < 2:
+        raise CliError(f"cell {cell} has {n_adjacent} neighbors in the --ms/--ds/--ks grid;"
+                       " the cost fit and the adjacent-cell check need at least 2")
     rows = bench_mod.bench_igem_grid(ms, ds, ks, reps=args.reps)
     a, b, r2 = bench_mod.linear_fit_r2(rows)
     ordering = bench_mod.bench_ordering()
@@ -229,7 +234,6 @@ def cmd_bench(args) -> int:
     else:
         print(csv_text, end="")
     print(f"igem cost model: min_s ~ {a:.2e} + {b:.2e} * K*m*d,  R^2 = {r2:.4f}")
-    cell = (ms[0], ds[len(ds) // 2], ks[0])
     err = bench_mod.adjacent_fit_error(rows, *cell)
     print(f"cell {cell} vs fit from adjacent cells: off by {err:.1%}")
     t = {k: v.mean_s for k, v in ordering.items()}

@@ -83,19 +83,16 @@ def mpo(durations: Sequence[float]) -> float | None:
     return float(np.mean(durations))
 
 
-def compute_all(am: AccuracyMatrix, proj_times: Sequence[float] | None = None, n_classes: int | None = None) -> dict:
+def compute_all(am: AccuracyMatrix, proj_times: Sequence[float], n_classes: int) -> dict:
     """Assemble the metric block; absent metrics are None, never 0."""
-    out = {
+    return {
         "avg_acc": avg_acc(am),
         "bwt": bwt(am),
         "fwt": fwt(am),
         "forgetting": forgetting(am),
-        "mpo": mpo(proj_times) if proj_times is not None else None,
+        "mpo": mpo(proj_times),
+        "fwt_vs_chance": fwt(am, baseline=np.full(am.T, 1.0 / n_classes)),
     }
-    if n_classes is not None:
-        chance = np.full(am.T, 1.0 / n_classes)
-        out["fwt_vs_chance"] = fwt(am, baseline=chance)
-    return out
 
 
 def aggregate(per_run: list[dict]) -> dict:

@@ -21,16 +21,17 @@ import time
 
 import numpy as np
 
+from . import __version__
 from .datagen import StreamSpec
 from .metrics import AccuracyMatrix, aggregate, compute_all
-from .trainer import NonFiniteLossError, RunLog, TrainConfig
+from .trainer import NonFiniteLossError, RunLog, StepRecord, TrainConfig
 
-SCHEMA_VERSION = "4"
+SCHEMA_VERSION = "5"
 
 
 def environment_fingerprint() -> dict:
     return {
-        "package_version": _package_version(),
+        "package_version": __version__,
         "python": platform.python_version(),
         "numpy": np.__version__,
         "precision": "float64",
@@ -38,13 +39,15 @@ def environment_fingerprint() -> dict:
     }
 
 
-def _package_version() -> str:
-    try:
-        from importlib.metadata import version
-
-        return version("gemproj")
-    except Exception:
-        return "unknown"
+def _run_header(kind: str, config: TrainConfig, spec: StreamSpec) -> dict:
+    """The fields every per-run document opens with."""
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "kind": kind,
+        "config": config.to_dict(),
+        "stream_spec": dataclasses.asdict(spec),
+        "environment": environment_fingerprint(),
+    }
 
 
 def build_run_result(
@@ -54,16 +57,12 @@ def build_run_result(
     log: RunLog,
 ) -> dict:
     """Self-contained result document: re-running with the echoed config and
-    seed reproduces the accuracy matrix bit-for-bit."""
+    seed reproduces the accuracy matrix bit-for-bit.  Row 0 of the matrix is
+    the pre-training baseline."""
     return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "run_result",
-        "config": config.to_dict(),
-        "stream_spec": dataclasses.asdict(spec),
-        "environment": environment_fingerprint(),
+        **_run_header("run_result", config, spec),
         "accuracy_matrix": [[float(v) for v in row] for row in am_matrix.R],
-        "baseline": [float(v) for v in am_matrix.baseline],
-        "metrics": compute_all(am_matrix, log.proj_times, n_classes=spec.n_classes),
+        "metrics": compute_all(am_matrix, log.proj_times, spec.n_classes),
         "n_projections": len(log.proj_times),
         "n_steps": len(log.steps),
         **({"replay_buffers": log.buffer_dump} if log.buffer_dump is not None else {}),
@@ -74,11 +73,7 @@ def build_run_failure(config: TrainConfig, spec: StreamSpec, error: NonFiniteLos
     """Document for a run that diverged: the config echo, the error and its
     diagnostic records."""
     return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "run_failure",
-        "config": config.to_dict(),
-        "stream_spec": dataclasses.asdict(spec),
-        "environment": environment_fingerprint(),
+        **_run_header("run_failure", config, spec),
         "error": str(error),
         "diagnostics": error.diagnostics,
     }
@@ -101,13 +96,6 @@ def build_aggregate(per_method_runs: dict[str, list[dict]]) -> dict:
     }
 
 
-def parse_run_result(text: str) -> dict:
-    doc = json.loads(text)
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema version {doc.get('schema_version')!r}")
-    return doc
-
-
 def atomic_write_text(path: str, text: str):
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_", suffix=".part")
@@ -125,20 +113,21 @@ def write_json(path: str, doc: dict):
     atomic_write_text(path, json.dumps(doc, indent=2, allow_nan=False) + "\n")
 
 
-CURVE_COLUMNS = [
-    "task", "step", "loss", "proj_time", "lambda_norm",
-    "max_violation", "violation_before", "projected",
-]
+CURVE_COLUMNS = [f.name for f in dataclasses.fields(StepRecord) if f.name != "timestamp"]
+
+
+def _cell(value):
+    """A float as its repr (round-trips exactly), a bool as 0/1."""
+    if isinstance(value, bool):
+        return int(value)
+    return repr(value) if isinstance(value, float) else value
 
 
 def write_curves_csv(path: str, log: RunLog):
-    """Flat per-step CSV (plot-ready; one row per training step)."""
+    """Flat per-step CSV (plot-ready; one row per training step, one column
+    per ``StepRecord`` field but the wall-clock timestamp)."""
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(CURVE_COLUMNS)
-    writer.writerows(
-        [r.task, r.step, repr(r.loss), repr(r.proj_time), repr(r.lambda_norm),
-         repr(r.max_violation), repr(r.violation_before), int(r.projected)]
-        for r in log.steps
-    )
+    writer.writerows([_cell(getattr(r, name)) for name in CURVE_COLUMNS] for r in log.steps)
     atomic_write_text(path, buf.getvalue())

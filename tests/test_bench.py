@@ -2,6 +2,7 @@ import numpy as np
 
 from gemproj.bench import (
     BenchRow,
+    adjacent_cells,
     adjacent_fit_error,
     bench_identity_path,
     bench_ordering,
@@ -38,6 +39,12 @@ def test_adjacent_fit_error_on_synthetic_data():
     assert adjacent_fit_error(rows, 4, 200, 3) < 1e-6
     # corner cell still has enough neighbors
     assert adjacent_fit_error(rows, 2, 100, 1) < 1e-6
+
+
+def test_adjacent_cells_step_one_level_along_each_axis():
+    # levels are deduplicated and sorted; an axis with one level adds no neighbor
+    assert adjacent_cells((4, 2, 8, 2), (100,), (3, 1), 4, 100, 1) == [
+        (2, 100, 1), (8, 100, 1), (4, 100, 3)]
 
 
 def test_rows_to_csv_format():

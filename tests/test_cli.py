@@ -1,7 +1,10 @@
 import csv
+import dataclasses
+import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import warnings
@@ -9,15 +12,19 @@ import warnings
 import numpy as np
 import pytest
 
+import gemproj
 from gemproj.cli import main
 from gemproj.datagen import StreamSpec, generate_stream, read_csv
 from gemproj.results import (
+    CURVE_COLUMNS,
     atomic_write_text,
     build_run_result,
-    parse_run_result,
     write_curves_csv,
 )
-from gemproj.trainer import TrainConfig, prepare_model, run_experiences
+from gemproj.trainer import StepRecord, TrainConfig, prepare_model, run_experiences
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
 
 def run_cli(*argv):
     return main(list(argv))
@@ -43,19 +50,23 @@ def test_config_echo_round_trips():
 
 def test_run_result_document_shape():
     doc, _ = small_doc()
-    assert doc["schema_version"] == "4"
+    assert doc["schema_version"] == "5"
     assert doc["kind"] == "run_result"
     R = np.array(doc["accuracy_matrix"])
     assert R.shape == (4, 3)
+    assert "baseline" not in doc  # the baseline is row 0 of the accuracy matrix
     assert doc["environment"]["precision"] == "float64"
     assert set(doc["metrics"]) >= {"avg_acc", "bwt", "fwt", "forgetting", "mpo"}
     assert "diagnostics" not in doc  # only a failure document carries them
     # document survives a JSON round trip
-    assert parse_run_result(json.dumps(doc))["metrics"]["avg_acc"] == doc["metrics"]["avg_acc"]
-    # documents of versions 1-3 echo config fields that no longer exist
-    for old in ("1", "2", "3"):
-        with pytest.raises(ValueError, match="schema version"):
-            parse_run_result(json.dumps({**doc, "schema_version": old}))
+    assert json.loads(json.dumps(doc))["metrics"]["avg_acc"] == doc["metrics"]["avg_acc"]
+
+
+def test_run_document_carries_the_package_version():
+    doc, _ = small_doc()
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    declared = re.search(r'^\[project\][^\[]*?^version = "([^"]+)"', pyproject, re.M | re.S)[1]
+    assert doc["environment"]["package_version"] == gemproj.__version__ == declared
 
 
 def test_atomic_write_leaves_no_partial_files(tmp_path):
@@ -84,6 +95,34 @@ def test_curves_csv_has_one_row_per_step(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0].startswith("task,step,loss")
     assert len(lines) == 1 + doc["n_steps"]
+
+
+def test_curves_columns_are_the_step_record_fields_but_timestamp():
+    names = [f.name for f in dataclasses.fields(StepRecord)]
+    assert CURVE_COLUMNS == [n for n in names if n != "timestamp"]
+
+
+def hand_written_curves(log) -> bytes:
+    """A curves CSV with its columns and row cells spelled out by hand."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["task", "step", "loss", "proj_time", "lambda_norm",
+                     "max_violation", "violation_before", "projected"])
+    writer.writerows(
+        [r.task, r.step, repr(r.loss), repr(r.proj_time), repr(r.lambda_norm),
+         repr(r.max_violation), repr(r.violation_before), int(r.projected)]
+        for r in log.steps
+    )
+    return buf.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("method", ["naive", "agem", "igem", "gem_exact"])
+def test_curves_csv_matches_the_hand_written_rows(tmp_path, method):
+    _, log = small_doc(method=method)
+    path = tmp_path / "curves.csv"
+    write_curves_csv(str(path), log)
+    assert path.read_bytes() == hand_written_curves(log)
+    assert any(r.projected for r in log.steps) == (method != "naive")
 
 
 def test_projection_count_and_mpo_match_the_curves_csv(tmp_path):
@@ -189,9 +228,8 @@ def test_cli_rejects_a_repeated_grid_cell_before_writing(tmp_path, capsys, metho
 
 
 def test_python_dash_m_gemproj_runs_the_cli():
-    root = pathlib.Path(__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    proc = subprocess.run([sys.executable, "-m", "gemproj", "verify", "metrics"], cwd=root,
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-m", "gemproj", "verify", "metrics"], cwd=ROOT,
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert [line.split()[0] for line in proc.stdout.splitlines()] == ["PASS"] * 4
@@ -358,6 +396,26 @@ def test_cli_bench_rejects_non_positive_grid_before_timing(monkeypatch, capsys, 
     assert run_cli("bench", *(a for kv in grid.items() for a in kv)) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {flag} must be") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("ms,ds,ks,n_adjacent", [
+    ("8", "1000", "3", 0),       # one cell: nothing to fit
+    ("8,16", "1000", "3", 1),    # the reported cell has a single neighbor
+    ("8,8", "1000,1000", "3", 0),  # repeated levels are one level
+])
+def test_cli_bench_rejects_a_grid_without_a_fit_before_timing(monkeypatch, capsys, ms, ds, ks, n_adjacent):
+    import gemproj.bench as bench
+
+    def no_timing(*args, **kwargs):
+        raise AssertionError("timed a grid that cannot be fitted")
+
+    monkeypatch.setattr(bench, "time_round_robin", no_timing)
+    monkeypatch.setattr(bench, "true_sigma_max", no_timing)
+    assert run_cli("bench", "--ms", ms, "--ds", ds, "--ks", ks, "--reps", "1") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cell (8, 1000, 3) has {n_adjacent} neighbors")
+    assert captured.err.count("\n") == 1
 
 
 def test_cli_worker_pool_is_clamped_to_cell_count(tmp_path, monkeypatch):

@@ -237,7 +237,7 @@ def test_single_experience_run_has_absent_transfer_metrics():
     model = prepare_model(spec, 0, model_config=SMALL_MODEL)
     cfg = TrainConfig(method="naive", seed=0, n_experiences=1)
     matrix, log = run_experiences(cfg, stream, model)
-    out = compute_all(matrix, log.proj_times)
+    out = compute_all(matrix, log.proj_times, spec.n_classes)
     assert out["bwt"] is None and out["fwt"] is None and out["forgetting"] is None
     assert out["avg_acc"] == matrix.R[1, 0]
 
