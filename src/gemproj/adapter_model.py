@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 CHECKPOINT_FORMAT_VERSION = "2"
+PRETRAIN_BATCH_SIZE = 32  # pretrain_base's minibatch rows
 
 
 @dataclass(frozen=True)
@@ -297,7 +298,7 @@ def jacobian_apply(model: TinyMlp, dphi) -> np.ndarray:
 
 # --- base-weight pretraining --------------------------------------------------
 
-def pretrain_base(model: TinyMlp, X, y, steps: int, lr: float, batch_size: int = 32, seed: int = 0):
+def pretrain_base(model: TinyMlp, X, y, steps: int, lr: float, seed: int = 0):
     """Train the dense base weights directly (adapters untouched) on a pooled
     generic batch stream, then leave them frozen for continual training."""
     X = np.asarray(X, dtype=np.float64)
@@ -305,7 +306,7 @@ def pretrain_base(model: TinyMlp, X, y, steps: int, lr: float, batch_size: int =
     rng = np.random.default_rng([seed, 0x9E7])
     n = X.shape[0]
     for _ in range(steps):
-        idx = rng.integers(0, n, size=min(batch_size, n))
+        idx = rng.integers(0, n, size=min(PRETRAIN_BATCH_SIZE, n))
         _, dWs = _loss_and_weight_grads(model, X[idx], y[idx])
         for layer, dW in zip(model.layers, dWs):
             layer.W0 -= lr * dW

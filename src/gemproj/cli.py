@@ -48,19 +48,10 @@ class CliError(Exception):
 
 def _add_dataclass_args(parser, cls, skip=()):
     for f in dataclasses.fields(cls):
-        if f.name in skip:
-            continue
-        flag = "--" + f.name.replace("_", "-")
-        if f.type in ("bool", bool):
-            parser.add_argument(flag, dest=f.name, default=None,
-                                action=argparse.BooleanOptionalAction)
-        elif f.type in ("int", int):
-            parser.add_argument(flag, dest=f.name, type=int, default=None)
-        elif f.type in ("float", float):
-            parser.add_argument(flag, dest=f.name, type=float, default=None)
-        elif f.type in ("str", str):
-            parser.add_argument(flag, dest=f.name, type=str, default=None)
-        # tuple-typed fields (prior_schedule) are config-file only
+        kind = {"int": int, "float": float, "str": str}.get(f.type)
+        if f.name not in skip and kind is not None:  # tuple-typed fields are config-file only
+            parser.add_argument("--" + f.name.replace("_", "-"), dest=f.name, type=kind,
+                                default=None, help=f"default: {f.default}")
 
 
 def _collect_overrides(args, cls, skip=()):
@@ -97,7 +88,7 @@ def _load_config_file(path: str) -> dict:
 def _build_cell(train: dict, stream: dict, method: str, seed: int) -> tuple[TrainConfig, StreamSpec]:
     """One grid cell's config and stream spec, both checked (priors included)."""
     try:
-        config = TrainConfig.from_dict({**train, "method": method, "seed": seed})
+        config = TrainConfig(**{**train, "method": method, "seed": seed})
     except (TypeError, ValueError) as e:
         raise CliError(f"invalid train config: {e}") from None
     try:

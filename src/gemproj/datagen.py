@@ -33,6 +33,7 @@ TEST_FRACTION = 0.2
 # accuracy, leaving headroom for forgetting signals.
 DEFAULT_MEAN_SCALE = 2.0
 DEFAULT_NOISE_SCALE = 1.0
+POOLED_SEED_TAG = 0xF00D  # generate_pooled's substream, disjoint from the experiences'
 
 
 def check_ranges(obj, ranges):
@@ -185,11 +186,11 @@ def generate_stream(spec: StreamSpec) -> list[ExperienceSplit]:
     return [splits[i] for i in order]
 
 
-def generate_pooled(spec: StreamSpec, n: int, seed_tag: int = 0xF00D) -> tuple[np.ndarray, np.ndarray]:
+def generate_pooled(spec: StreamSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Uniform-prior sample from the same class geometry, for base-model
     pretraining (drawn from a separate substream, disjoint from the
     experience pool)."""
-    rng = np.random.default_rng([spec.seed, seed_tag])
+    rng = np.random.default_rng([spec.seed, POOLED_SEED_TAG])
     means = spec.class_means()
     y = rng.integers(0, spec.n_classes, size=n)
     X = means[y] + spec.noise_scale * rng.standard_normal((n, spec.feature_dim))

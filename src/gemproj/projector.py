@@ -173,23 +173,18 @@ def pgd_project(
     warm: DualState,
     eta: float,
     K: int,
-    floor: float = 0.0,
 ) -> ProjectionResult:
     """Fixed-budget dual projected gradient descent.
 
     Runs exactly K iterations of lam <- max(0, lam - eta * grad F(lam))
     starting from ``warm.lam`` and returns g~ = g + G' lam_K together with
-    the final multipliers for warm-starting the next call.  A positive
-    ``floor`` (GEM's memory strength) clips lam at that margin instead of
-    at zero.
+    the final multipliers for warm-starting the next call.
     """
     g, _ = _checked(G, g, warm.lam)
     if eta <= 0.0:
         raise ValueError("eta must be > 0")
     if K < 1:
         raise ValueError("K must be >= 1")
-    if not floor >= 0.0:
-        raise ValueError("floor must be >= 0")
     # G is validated finite at construction; only the fresh gradient needs checking
     if not np.all(np.isfinite(g)):
         raise ValueError("non-finite values in gradient")
@@ -204,7 +199,7 @@ def pgd_project(
     lam = warm.lam.copy()
     for _ in range(K):
         r = A @ (A.T @ lam) + Gg
-        lam = np.maximum(floor, lam - eta * r)
+        lam = np.maximum(0.0, lam - eta * r)
 
     u, dual_value = _dual_at(A, Gg, lam)
     g_tilde = g + u

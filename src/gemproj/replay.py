@@ -119,17 +119,6 @@ class ReplayBuffer:
             raise ValueError(f"replay buffer for task {task} is empty")
         return mem.X, mem.y
 
-    def to_dict(self) -> dict:
-        """JSON-able snapshot of the stored examples (reproducibility audits)."""
-        return {
-            "capacity_per_task": self.capacity_per_task,
-            "total_cap": self.total_cap,
-            "per_task": {
-                str(t): [{"x": x, "y": y} for x, y in zip(mem.X.tolist(), mem.y.tolist())]
-                for t, mem in sorted(self._memories.items())
-            },
-        }
-
     def insert(self, task: int, X, y):
         """Insert labeled examples in arrival order, then water-fill down to
         both capacities.  Counts are not balanced: below capacity every row

@@ -26,7 +26,7 @@ from .datagen import StreamSpec
 from .metrics import AccuracyMatrix, aggregate, compute_all
 from .trainer import NonFiniteLossError, RunLog, StepRecord, TrainConfig
 
-SCHEMA_VERSION = "5"
+SCHEMA_VERSION = "6"
 
 
 def environment_fingerprint() -> dict:
@@ -35,7 +35,7 @@ def environment_fingerprint() -> dict:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "precision": "float64",
-        "monotonic_clock_resolution_s": time.get_clock_info("monotonic").resolution,
+        "perf_counter_resolution_s": time.get_clock_info("perf_counter").resolution,
     }
 
 
@@ -44,7 +44,7 @@ def _run_header(kind: str, config: TrainConfig, spec: StreamSpec) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": kind,
-        "config": config.to_dict(),
+        "config": dataclasses.asdict(config),
         "stream_spec": dataclasses.asdict(spec),
         "environment": environment_fingerprint(),
     }
@@ -65,7 +65,6 @@ def build_run_result(
         "metrics": compute_all(am_matrix, log.proj_times, spec.n_classes),
         "n_projections": len(log.proj_times),
         "n_steps": len(log.steps),
-        **({"replay_buffers": log.buffer_dump} if log.buffer_dump is not None else {}),
     }
 
 

@@ -12,7 +12,6 @@ holds pre-preconditioning only.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from dataclasses import dataclass, field
 
@@ -29,7 +28,7 @@ from .projector import (
     pgd_project,
     violation_check,
 )
-from .replay import ReplayBuffer, build_constraint_matrix
+from .replay import DEFAULT_CAPACITY_PER_TASK, DEFAULT_TOTAL_CAP, ReplayBuffer, build_constraint_matrix
 from .spectral import power_iteration, stepsize
 
 METHODS = ("naive", "gem_exact", "agem", "igem")
@@ -55,7 +54,7 @@ _RANGES = (
     (("lr", "adamw_eps"), "> 0", lambda v: v > 0),
     (("pgd_iterations", "train_mb_size", "eval_mb_size", "n_experiences",
       "patterns_per_exp", "memory_size"), ">= 1", lambda v: v >= 1),
-    (("weight_decay", "memory_strength"), ">= 0", lambda v: v >= 0),
+    (("weight_decay",), ">= 0", lambda v: v >= 0),
     (("adamw_beta1", "adamw_beta2"), "in [0, 1)", lambda v: 0 <= v < 1),
     (("stepsize_safety",), "in (0, 1]", lambda v: 0 < v <= 1),
 )
@@ -76,10 +75,8 @@ class TrainConfig:
     adamw_beta2: float = 0.999
     adamw_eps: float = 1e-8
     weight_decay: float = 0.0
-    memory_strength: float = 0.0     # igem dual floor (GEM's margin); 0 disables it
-    patterns_per_exp: int = 100
-    memory_size: int = 150
-    dump_buffers: bool = False       # snapshot replay buffers into the run log
+    patterns_per_exp: int = DEFAULT_CAPACITY_PER_TASK
+    memory_size: int = DEFAULT_TOTAL_CAP
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -90,17 +87,6 @@ class TrainConfig:
         if self.method == "gem_exact" and self.n_experiences - 1 > DEFAULT_ENUM_LIMIT:
             raise ValueError(f"n_experiences must be <= {DEFAULT_ENUM_LIMIT + 1} for gem_exact "
                              f"(at most {DEFAULT_ENUM_LIMIT} past tasks), got {self.n_experiences}")
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        fields = {f.name: f.type for f in dataclasses.fields(cls)}
-        unknown = set(d) - set(fields)
-        if unknown:
-            raise ValueError(f"unknown config field(s): {sorted(unknown)}")
-        return cls(**d)
 
 
 @dataclass
@@ -118,10 +104,9 @@ class StepRecord:
 
 @dataclass
 class RunLog:
-    """Append-only per-step records, plus the final replay buffers under ``dump_buffers``."""
+    """Append-only per-step records."""
 
     steps: list[StepRecord] = field(default_factory=list)
-    buffer_dump: dict | None = None
 
     def add_step(self, rec: StepRecord):
         if self.steps and rec.timestamp < self.steps[-1].timestamp:
@@ -287,7 +272,7 @@ def train_step(state: TrainerState, X, y) -> StepRecord:
                 state.sigma_age += 1
             if state.sigma > 0.0:
                 eta = stepsize(state.sigma, cfg.stepsize_safety)
-                result = pgd_project(g, G, state.dual, eta, cfg.pgd_iterations, floor=cfg.memory_strength)
+                result = pgd_project(g, G, state.dual, eta, cfg.pgd_iterations)
                 state.dual = result.final_lambda  # carry over as warm start
         projected = cfg.method == "agem" or result is not None
         proj_time = time.perf_counter() - t0 if projected else 0.0
@@ -380,6 +365,4 @@ def run_experiences(
             idx = order[i : i + config.train_mb_size]
             train_step(state, split.train_x[idx], split.train_y[idx])
         R[t + 1] = _eval_all(model, stream)
-    if config.dump_buffers:
-        state.log.buffer_dump = state.buffers.to_dict()
     return AccuracyMatrix(R), state.log

@@ -7,6 +7,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -45,12 +46,12 @@ def small_doc(seed=0, method="naive"):
 
 def test_config_echo_round_trips():
     doc, _ = small_doc(seed=3, method="agem")
-    assert TrainConfig.from_dict(doc["config"]) == TrainConfig(method="agem", seed=3)
+    assert TrainConfig(**doc["config"]) == TrainConfig(method="agem", seed=3)
 
 
 def test_run_result_document_shape():
     doc, _ = small_doc()
-    assert doc["schema_version"] == "5"
+    assert doc["schema_version"] == "6"
     assert doc["kind"] == "run_result"
     R = np.array(doc["accuracy_matrix"])
     assert R.shape == (4, 3)
@@ -67,6 +68,13 @@ def test_run_document_carries_the_package_version():
     pyproject = (ROOT / "pyproject.toml").read_text()
     declared = re.search(r'^\[project\][^\[]*?^version = "([^"]+)"', pyproject, re.M | re.S)[1]
     assert doc["environment"]["package_version"] == gemproj.__version__ == declared
+
+
+def test_run_document_reports_the_clock_its_timings_come_from():
+    # proj_time, and so mpo, is measured on time.perf_counter
+    env = small_doc()[0]["environment"]
+    assert env["perf_counter_resolution_s"] == time.get_clock_info("perf_counter").resolution
+    assert "monotonic_clock_resolution_s" not in env
 
 
 def test_atomic_write_leaves_no_partial_files(tmp_path):
@@ -172,7 +180,7 @@ def test_cli_rerun_from_echoed_config_reproduces_matrix(tmp_path):
                    "--n-per-experience", "200", "--feature-dim", "8") == 0
     doc = json.loads((out1 / "run_igem_seed3.json").read_text())
     # rebuild the run purely from the echoed config + stream spec
-    cfg = TrainConfig.from_dict(doc["config"])
+    cfg = TrainConfig(**doc["config"])
     spec = StreamSpec(**doc["stream_spec"])
     stream = generate_stream(spec)
     model = prepare_model(spec, cfg.seed)
@@ -191,7 +199,7 @@ def test_cli_run_invalid_config_names_field(tmp_path, capsys):
 
 @pytest.mark.parametrize("field,value", [
     ("train_epochs", 2), ("power_iters", 30), ("skip_when_feasible", True), ("violation_tol", 0.1),
-    ("eval_every", 3),
+    ("eval_every", 3), ("memory_strength", 0.3), ("dump_buffers", True),
 ])
 def test_cli_config_with_a_removed_field_exits_2_before_writing(tmp_path, capsys, field, value):
     cfg_path = tmp_path / "cfg.json"
@@ -348,6 +356,22 @@ def test_cli_gen_data_round_trips(tmp_path):
     assert sum(s.n_train + s.n_test for s in splits) == 150
 
 
+def test_run_help_documents_every_config_flag_with_its_default(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("run", "--help")
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    # method and seed are grid flags, the stream takes n_experiences from the
+    # train config, and prior_schedule is set in a config file only
+    no_flag = {TrainConfig: {"method", "seed"},
+               StreamSpec: {"seed", "n_experiences", "prior_schedule"}}
+    for cls, skip in no_flag.items():
+        for f in dataclasses.fields(cls):
+            if f.name not in skip:
+                flag = "--" + f.name.replace("_", "-")
+                assert f"{flag} {f.name.upper()} default: {f.default}" in text
+
+
 def test_cli_verify_metrics_passes(capsys):
     assert run_cli("verify", "metrics") == 0
     out = capsys.readouterr().out
@@ -369,7 +393,7 @@ def test_cli_parallel_workers_match_serial(tmp_path, monkeypatch):
                        "--n-per-experience", "200", "--feature-dim", "8") == 0
         doc = json.loads((out / "run_igem_seed0.json").read_text())
         doc["metrics"].pop("mpo")  # wall-clock timing is not deterministic
-        doc["environment"].pop("monotonic_clock_resolution_s", None)
+        doc["environment"].pop("perf_counter_resolution_s")
         results[tag] = json.dumps(doc, sort_keys=True)
     assert results["serial"] == results["parallel"]
 
@@ -458,7 +482,6 @@ def test_cli_worker_pool_is_clamped_to_cell_count(tmp_path, monkeypatch):
     ("--weight-decay", "-1", "weight_decay"),
     ("--memory-size", "0", "memory_size"),
     ("--patterns-per-exp", "0", "patterns_per_exp"),
-    ("--memory-strength", "-0.1", "memory_strength"),
     ("--pgd-iterations", "0", "pgd_iterations"),
     ("--n-classes", "0", "n_classes"),
     ("--feature-dim", "0", "feature_dim"),
@@ -491,7 +514,7 @@ def test_cli_diverging_run_exits_3_with_failure_document(tmp_path, capsys):
     assert err.startswith("error: run_naive_seed0 diverged: non-finite") and err.count("\n") == 1
     doc = json.loads((out / "run_naive_seed0.failed.json").read_text())
     assert doc["kind"] == "run_failure"
-    assert TrainConfig.from_dict(doc["config"]).lr == 1e300
+    assert TrainConfig(**doc["config"]).lr == 1e300
     assert doc["diagnostics"] and doc["diagnostics"][-1]["reason"].startswith("non-finite")
     assert not (out / "run_naive_seed0.json").exists()
 

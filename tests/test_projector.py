@@ -125,14 +125,6 @@ def test_pgd_warm_start_continues_from_given_lambda():
     assert first.final_lambda.lam[0] > 0.0  # the resumed call did not start cold
 
 
-def test_pgd_margin_enforces_dual_floor():
-    res = pgd_project([1, 2], cm(np.eye(2)), DualState.cold(2), eta=1.0, K=3, floor=0.3)
-    assert res.final_lambda.lam.min() >= 0.3
-    # a zero floor (margin off) leaves the plain update untouched
-    res2 = pgd_project([1, 2], cm(np.eye(2)), DualState.cold(2), eta=1.0, K=3, floor=0.0)
-    np.testing.assert_array_equal(res2.final_lambda.lam, [0.0, 0.0])
-
-
 # --- exact_qp_project -----------------------------------------------------------
 
 def test_exact_single_constraint_matches_closed_form():
@@ -421,8 +413,3 @@ def test_dual_state_rejects_negative_lambda():
     with pytest.raises(ValueError):
         DualState(np.array([0.5, -0.1]))
     np.testing.assert_array_equal(DualState.cold(3).lam, np.zeros(3))
-
-
-def test_margin_config_rejects_negative_strength():
-    with pytest.raises(ValueError, match="floor"):
-        pgd_project([1, 2], cm(np.eye(2)), DualState.cold(2), eta=1.0, K=3, floor=-0.1)

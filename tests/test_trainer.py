@@ -79,13 +79,13 @@ def test_config_validation():
         TrainConfig(lr=0.0)
     with pytest.raises(ValueError, match="pgd_iterations"):
         TrainConfig(method="igem", pgd_iterations=0)
-    with pytest.raises(ValueError, match="unknown config field"):
-        TrainConfig.from_dict({"methodd": "igem"})
+    with pytest.raises(TypeError, match="methodd"):
+        TrainConfig(**{"methodd": "igem"})
 
 
 def test_config_round_trips_through_dict():
-    cfg = TrainConfig(method="agem", seed=11, lr=0.01, memory_strength=0.3)
-    assert TrainConfig.from_dict(cfg.to_dict()) == cfg
+    cfg = TrainConfig(method="agem", seed=11, lr=0.01, patterns_per_exp=40)
+    assert TrainConfig(**dataclasses.asdict(cfg)) == cfg
 
 
 def test_every_numeric_config_field_is_range_checked():
@@ -296,14 +296,6 @@ def test_agem_method_projects_against_sampled_reference():
     assert len(log.proj_times) == len(projected)
 
 
-def test_margin_enabled_floors_the_multipliers():
-    matrix, log = small_run("igem", seed=0, memory_strength=0.3)
-    projected = [r for r in log.steps if r.projected]
-    assert projected
-    # each lambda component >= 0.3, so its norm is too
-    assert min(r.lambda_norm for r in projected) >= 0.3
-
-
 def test_spectral_estimate_serves_its_own_projection_and_the_next_ten(monkeypatch):
     real_power, real_step = trainer.power_iteration, trainer.train_step
     calls = []
@@ -391,15 +383,6 @@ def test_exact_projection_first_order_loss_certificate():
     for t in past:
         _, g_k = backward(state.model, *state.buffers.examples(t))
         assert g_k.dot(-g_tilde) <= 1e-9 * (1 + np.linalg.norm(g_k))
-
-
-def test_buffer_dump_lands_in_run_log():
-    matrix, log = small_run("naive", seed=0, dump_buffers=True,
-                            patterns_per_exp=5, memory_size=12)
-    assert log.buffer_dump is not None
-    assert set(log.buffer_dump["per_task"]) == {"0", "1", "2"}
-    total = sum(len(v) for v in log.buffer_dump["per_task"].values())
-    assert total <= 12
 
 
 def _step_fields(log):
