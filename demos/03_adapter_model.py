@@ -1,10 +1,7 @@
 # The tiny frozen-base + low-rank-adapter classifier: the flat adapter
 # vector phi as the model's only parameter store, exact manual backprop
-# checked against finite differences, the adapter/full-space chain-rule
-# identity, and the versioned checkpoint round trip.
-
-import os
-import tempfile
+# checked against finite differences, and the adapter/full-space chain-rule
+# identity.
 
 import numpy as np
 
@@ -13,12 +10,9 @@ from gemproj import (
     adapter_dim,
     backward,
     build_model,
-    forward,
     get_adapter_params,
     jacobian_apply,
     jacobian_transpose_apply,
-    load_checkpoint,
-    save_checkpoint,
     set_adapter_params,
     weight_space_gradient,
 )
@@ -69,12 +63,3 @@ dphi = rng.standard_normal(adapter_dim(model))
 lhs = g_full @ jacobian_apply(model, dphi)
 rhs = pulled @ dphi
 print(f"adjoint identity mismatch = {abs(lhs - rhs):.2e}")
-
-# versioned little-endian checkpoint
-with tempfile.TemporaryDirectory() as tmp:
-    path = os.path.join(tmp, "model.npz")
-    save_checkpoint(model, path)
-    clone = load_checkpoint(path)
-    x = rng.standard_normal(8)
-    same = np.array_equal(forward(model, x), forward(clone, x))
-    print(f"\ncheckpoint round trip reproduces logits bit-for-bit: {same}")

@@ -21,8 +21,6 @@ from .adapter_model import (
     get_adapter_params,
     jacobian_apply,
     jacobian_transpose_apply,
-    load_checkpoint,
-    save_checkpoint,
     set_adapter_params,
     weight_space_gradient,
 )

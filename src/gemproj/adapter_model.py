@@ -21,13 +21,10 @@ keep the dW form.
 
 from __future__ import annotations
 
-import dataclasses
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-CHECKPOINT_FORMAT_VERSION = "2"
 PRETRAIN_BATCH_SIZE = 32  # pretrain_base's minibatch rows
 
 
@@ -310,41 +307,3 @@ def pretrain_base(model: TinyMlp, X, y, steps: int, lr: float, seed: int = 0):
         _, dWs = _loss_and_weight_grads(model, X[idx], y[idx])
         for layer, dW in zip(model.layers, dWs):
             layer.W0 -= lr * dW
-
-
-# --- checkpoint I/O -----------------------------------------------------------
-
-def save_checkpoint(model: TinyMlp, path: str):
-    """Versioned npz dump of W0/B/A per layer plus a JSON header.
-
-    Arrays are written as little-endian float64 ('<f8'), so checkpoints
-    load identically across platforms.
-    """
-    meta = {
-        "format_version": CHECKPOINT_FORMAT_VERSION,
-        "config": dataclasses.asdict(model.config),
-        "n_layers": len(model.layers),
-    }
-    arrays = {"meta": np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)}
-    for i, layer in enumerate(model.layers):
-        arrays[f"W0_{i}"] = layer.W0.astype("<f8")
-        arrays[f"B_{i}"] = layer.B.astype("<f8")
-        arrays[f"A_{i}"] = layer.A.astype("<f8")
-    np.savez(path, **arrays)
-
-
-def load_checkpoint(path: str) -> TinyMlp:
-    with np.load(path) as data:
-        meta = json.loads(bytes(data["meta"]).decode("utf-8"))
-        if meta["format_version"] != CHECKPOINT_FORMAT_VERSION:
-            raise ValueError(f"unsupported checkpoint format version {meta['format_version']!r}")
-        model = TinyMlp(ModelConfig(**meta["config"]))
-        if meta["n_layers"] != len(model.layers):
-            raise ValueError(f"checkpoint has {meta['n_layers']} layers, expected {len(model.layers)}")
-        for i, layer in enumerate(model.layers):
-            for name, dst in (("W0", layer.W0), ("B", layer.B), ("A", layer.A)):
-                src = data[f"{name}_{i}"]
-                if src.shape != dst.shape:
-                    raise ValueError(f"{name}_{i} has shape {src.shape}, expected {dst.shape}")
-                dst[...] = src
-    return model

@@ -136,12 +136,14 @@ def cmd_run(args) -> int:
     stream_base = dict(file_cfg.get("stream", {}))
     stream_base.update(_collect_overrides(args, StreamSpec,
                                           skip=("seed", "n_experiences", "prior_schedule")))
-    methods = args.methods.split(",") if args.methods else file_cfg.get("methods", ["igem"])
-    seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else file_cfg.get("seeds", [0])
+    methods = file_cfg.get("methods", ["igem"]) if args.methods is None else args.methods.split(",")
+    seeds = file_cfg.get("seeds", [0]) if args.seeds is None else [int(s) for s in args.seeds.split(",")]
 
     if args.data is not None and not os.path.exists(args.data):
         raise CliError(f"dataset file not found: {args.data}")
     for name, values in (("method", methods), ("seed", seeds)):
+        if not values:
+            raise CliError(f"the grid has no {name}: its {name}s list is empty")
         repeated = [v for i, v in enumerate(values) if v in values[:i]]
         if repeated:
             raise CliError(f"{name} {repeated[0]!r} appears more than once in the grid")

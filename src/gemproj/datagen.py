@@ -32,7 +32,6 @@ TEST_FRACTION = 0.2
 # at this radius give a linear probe roughly 85-90% within-experience
 # accuracy, leaving headroom for forgetting signals.
 DEFAULT_MEAN_SCALE = 2.0
-DEFAULT_NOISE_SCALE = 1.0
 POOLED_SEED_TAG = 0xF00D  # generate_pooled's substream, disjoint from the experiences'
 
 
@@ -54,6 +53,7 @@ _RANGES = (
     (("n_per_experience",), ">= 2", lambda v: v >= 2),
     (("seed",), ">= 0", lambda v: v >= 0),
     (("prior_concentration",), "in [0, 1]", lambda v: 0 <= v <= 1),
+    (("mean_scale",), "> 0 and finite", lambda v: 0 < v < math.inf),
 )
 
 
@@ -65,7 +65,6 @@ class StreamSpec:
     n_per_experience: int = 4000
     prior_concentration: float = 0.7  # mass on the focus class of each experience
     mean_scale: float = DEFAULT_MEAN_SCALE
-    noise_scale: float = DEFAULT_NOISE_SCALE
     seed: int = 0
     prior_schedule: tuple[tuple[float, ...], ...] | None = None
 
@@ -178,7 +177,7 @@ def generate_stream(spec: StreamSpec) -> list[ExperienceSplit]:
         rng = np.random.default_rng([spec.seed, 0xDA7A, e])
         n = spec.n_per_experience
         y = rng.choice(spec.n_classes, size=n, p=P[e])
-        X = means[y] + spec.noise_scale * rng.standard_normal((n, spec.feature_dim))
+        X = means[y] + rng.standard_normal((n, spec.feature_dim))
         rows = np.arange(next_row, next_row + n)
         next_row += n
         splits.append(_split(spec.seed, e, X, y, rows))
@@ -193,7 +192,7 @@ def generate_pooled(spec: StreamSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
     rng = np.random.default_rng([spec.seed, POOLED_SEED_TAG])
     means = spec.class_means()
     y = rng.integers(0, spec.n_classes, size=n)
-    X = means[y] + spec.noise_scale * rng.standard_normal((n, spec.feature_dim))
+    X = means[y] + rng.standard_normal((n, spec.feature_dim))
     return X, y
 
 

@@ -26,7 +26,7 @@ from .datagen import StreamSpec
 from .metrics import AccuracyMatrix, aggregate, compute_all
 from .trainer import NonFiniteLossError, RunLog, StepRecord, TrainConfig
 
-SCHEMA_VERSION = "6"
+SCHEMA_VERSION = "7"
 
 
 def environment_fingerprint() -> dict:

@@ -29,10 +29,12 @@ from .projector import (
     violation_check,
 )
 from .replay import DEFAULT_CAPACITY_PER_TASK, DEFAULT_TOTAL_CAP, ReplayBuffer, build_constraint_matrix
-from .spectral import power_iteration, stepsize
+from .spectral import DEFAULT_SAFETY, power_iteration, stepsize
 
 METHODS = ("naive", "gem_exact", "agem", "igem")
 OPTIMIZERS = ("sgd", "adamw")
+ADAMW_BETAS = (0.9, 0.999)
+ADAMW_EPS = 1e-8
 
 
 class NonFiniteLossError(RuntimeError):
@@ -48,14 +50,13 @@ class NonFiniteLossError(RuntimeError):
 # next SPECTRAL_REUSE ones; a change in the constraint count also refreshes it.
 SPECTRAL_REUSE = 10
 
-# (fields, rule, check) for every numeric TrainConfig field but seed; each
-# check fails on NaN as well
+# (fields, rule, check) for every numeric TrainConfig field; each check
+# fails on NaN as well
 _RANGES = (
-    (("lr", "adamw_eps"), "> 0", lambda v: v > 0),
+    (("lr",), "> 0", lambda v: v > 0),
     (("pgd_iterations", "train_mb_size", "eval_mb_size", "n_experiences",
       "patterns_per_exp", "memory_size"), ">= 1", lambda v: v >= 1),
-    (("weight_decay",), ">= 0", lambda v: v >= 0),
-    (("adamw_beta1", "adamw_beta2"), "in [0, 1)", lambda v: 0 <= v < 1),
+    (("seed",), ">= 0", lambda v: v >= 0),
     (("stepsize_safety",), "in (0, 1]", lambda v: 0 < v <= 1),
 )
 
@@ -65,16 +66,12 @@ class TrainConfig:
     method: str = "igem"
     lr: float = 0.001
     pgd_iterations: int = 3          # K, the fixed dual-PGD budget
-    stepsize_safety: float = 0.7     # c in eta = c / sigma_hat
+    stepsize_safety: float = DEFAULT_SAFETY  # c in eta = c / sigma_hat
     train_mb_size: int = 32
     eval_mb_size: int = 50           # A-GEM's reference batch size
     n_experiences: int = 3
     seed: int = 0
     optimizer: str = "sgd"
-    adamw_beta1: float = 0.9
-    adamw_beta2: float = 0.999
-    adamw_eps: float = 1e-8
-    weight_decay: float = 0.0
     patterns_per_exp: int = DEFAULT_CAPACITY_PER_TASK
     memory_size: int = DEFAULT_TOTAL_CAP
 
@@ -132,10 +129,10 @@ def optimizer_step(phi: np.ndarray, g_tilde: np.ndarray, opt: OptState, config: 
     """Apply one update to phi and return the new vector.
 
     sgd:   phi <- phi - lr * g
-    adamw: decoupled weight decay with bias-corrected moments,
+    adamw: bias-corrected moments with (b1, b2) = ADAMW_BETAS, eps = ADAMW_EPS
+           and no weight decay,
            m <- b1 m + (1-b1) g, v <- b2 v + (1-b2) g^2, t <- t+1,
            phi <- phi - lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps)
-                      - lr * wd * phi
     """
     if phi.shape != g_tilde.shape:
         raise ValueError("phi and gradient shapes differ")
@@ -148,14 +145,12 @@ def optimizer_step(phi: np.ndarray, g_tilde: np.ndarray, opt: OptState, config: 
                 opt.m = np.zeros_like(phi)
                 opt.v = np.zeros_like(phi)
             opt.t += 1
-            b1, b2 = config.adamw_beta1, config.adamw_beta2
+            b1, b2 = ADAMW_BETAS
             opt.m = b1 * opt.m + (1.0 - b1) * g_tilde
             opt.v = b2 * opt.v + (1.0 - b2) * g_tilde * g_tilde
             m_hat = opt.m / (1.0 - b1 ** opt.t)
             v_hat = opt.v / (1.0 - b2 ** opt.t)
-            new_phi = phi - config.lr * m_hat / (np.sqrt(v_hat) + config.adamw_eps)
-            if config.weight_decay:
-                new_phi = new_phi - config.lr * config.weight_decay * phi
+            new_phi = phi - config.lr * m_hat / (np.sqrt(v_hat) + ADAMW_EPS)
     if not np.all(np.isfinite(new_phi)):
         raise NonFiniteLossError("non-finite parameter update")
     return new_phi

@@ -161,7 +161,7 @@ def test_jacobian_adjoint_identity():
         assert abs(lhs - rhs) <= 1e-10
 
 
-# --- flatten / checkpoint ------------------------------------------------------------
+# --- flat adapter vector -------------------------------------------------------------
 
 def test_flatten_unflatten_round_trip():
     model = small_model(perturb=0.3)
@@ -192,15 +192,12 @@ def _shares_phi(model):
                for l in model.layers)
 
 
-def test_layers_are_views_into_phi_after_build_load_and_copies(tmp_path):
+def test_layers_are_views_into_phi_after_build_and_copies():
     import copy
     import pickle
 
     model = small_model(perturb=0.2)
-    path = tmp_path / "model.npz"
-    am.save_checkpoint(model, str(path))
     copies = {
-        "load_checkpoint": am.load_checkpoint(str(path)),
         "deepcopy": copy.deepcopy(model),
         "pickle": pickle.loads(pickle.dumps(model)),
         "copy": copy.copy(model),
@@ -253,67 +250,6 @@ def test_get_params_returns_a_snapshot():
     np.testing.assert_array_equal(snap, kept)
     snap[:] = 7.0
     assert not np.any(model.phi == 7.0)
-
-
-def test_checkpoint_round_trip(tmp_path):
-    model = small_model(perturb=0.2)
-    path = tmp_path / "model.npz"
-    am.save_checkpoint(model, str(path))
-    loaded = am.load_checkpoint(str(path))
-    assert loaded.config == model.config
-    for a, b in zip(model.layers, loaded.layers):
-        np.testing.assert_array_equal(a.W0, b.W0)
-        np.testing.assert_array_equal(a.B, b.B)
-        np.testing.assert_array_equal(a.A, b.A)
-    x = np.random.default_rng(0).standard_normal(4)
-    np.testing.assert_array_equal(am.forward(model, x), am.forward(loaded, x))
-
-
-def test_checkpoint_rejects_unknown_version(tmp_path):
-    import json
-
-    model = small_model()
-    path = tmp_path / "model.npz"
-    am.save_checkpoint(model, str(path))
-    with np.load(path) as data:
-        arrays = {k: data[k] for k in data.files}
-    meta = json.loads(bytes(arrays["meta"]).decode())
-    meta["format_version"] = "99"
-    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-    np.savez(path, **arrays)
-    with pytest.raises(ValueError, match="format version"):
-        am.load_checkpoint(str(path))
-
-
-def test_format_1_checkpoint_is_refused_by_version_not_by_config(tmp_path):
-    import json
-
-    # format 1 echoed the two ModelConfig fields format 2 dropped
-    model = small_model()
-    path = tmp_path / "model.npz"
-    am.save_checkpoint(model, str(path))
-    with np.load(path) as data:
-        arrays = {k: data[k] for k in data.files}
-    meta = json.loads(bytes(arrays["meta"]).decode())
-    assert meta["format_version"] == "2"
-    meta["format_version"] = "1"
-    meta["config"].update(adapter_init_scale=1.0, activation="tanh")
-    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-    np.savez(path, **arrays)
-    with pytest.raises(ValueError, match="unsupported checkpoint format version '1'"):
-        am.load_checkpoint(str(path))
-
-
-def test_checkpoint_rejects_wrong_array_shape(tmp_path):
-    model = small_model()
-    path = tmp_path / "model.npz"
-    am.save_checkpoint(model, str(path))
-    with np.load(path) as data:
-        arrays = {k: data[k] for k in data.files}
-    arrays["A_1"] = arrays["A_1"][:, :1]  # broadcastable, so only a shape check catches it
-    np.savez(path, **arrays)
-    with pytest.raises(ValueError, match="A_1 has shape"):
-        am.load_checkpoint(str(path))
 
 
 def test_pretrain_base_improves_pooled_accuracy_and_keeps_adapters():

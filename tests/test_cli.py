@@ -51,7 +51,7 @@ def test_config_echo_round_trips():
 
 def test_run_result_document_shape():
     doc, _ = small_doc()
-    assert doc["schema_version"] == "6"
+    assert doc["schema_version"] == "7"
     assert doc["kind"] == "run_result"
     R = np.array(doc["accuracy_matrix"])
     assert R.shape == (4, 3)
@@ -197,13 +197,19 @@ def test_cli_run_invalid_config_names_field(tmp_path, capsys):
     assert "methodz" in err
 
 
-@pytest.mark.parametrize("field,value", [
-    ("train_epochs", 2), ("power_iters", 30), ("skip_when_feasible", True), ("violation_tol", 0.1),
-    ("eval_every", 3), ("memory_strength", 0.3), ("dump_buffers", True),
-])
-def test_cli_config_with_a_removed_field_exits_2_before_writing(tmp_path, capsys, field, value):
+REMOVED_FIELDS = [
+    ("train", "train_epochs", 2), ("train", "power_iters", 30), ("train", "skip_when_feasible", True),
+    ("train", "violation_tol", 0.1), ("train", "eval_every", 3), ("train", "memory_strength", 0.3),
+    ("train", "dump_buffers", True), ("train", "adamw_beta1", 0.9), ("train", "adamw_beta2", 0.999),
+    ("train", "adamw_eps", 1e-8), ("train", "weight_decay", 0.0), ("stream", "noise_scale", 1.0),
+]
+
+
+@pytest.mark.parametrize("section,field,value", REMOVED_FIELDS,
+                         ids=[f"{field}-{value}" for _, field, value in REMOVED_FIELDS])
+def test_cli_config_with_a_removed_field_exits_2_before_writing(tmp_path, capsys, section, field, value):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"train": {field: value}}))
+    cfg_path.write_text(json.dumps({section: {field: value}}))
     out = tmp_path / "o"
     assert run_cli("run", "--config", str(cfg_path), "--out", str(out)) == 2
     assert field in capsys.readouterr().err
@@ -212,7 +218,7 @@ def test_cli_config_with_a_removed_field_exits_2_before_writing(tmp_path, capsys
 
 @pytest.mark.parametrize("config", [
     {"seeds": 0}, {"train": [1]}, {"stream": {"bogus": 1}}, {"stream": {"n_classes": "4"}},
-    {"methods": "igem"}, {"seeds": [1.5]},
+    {"methods": "igem"}, {"seeds": [1.5]}, {"seeds": []}, {"methods": []},
 ])
 def test_cli_malformed_config_file_exits_2_before_writing(tmp_path, capsys, config):
     cfg_path = tmp_path / "cfg.json"
@@ -232,6 +238,15 @@ def test_cli_rejects_a_repeated_grid_cell_before_writing(tmp_path, capsys, metho
     out = tmp_path / "o"
     assert run_cli("run", "--methods", methods, "--seeds", seeds, "--out", str(out)) == 2
     assert f"{repeated} appears more than once" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--methods", "--seeds"])
+def test_cli_empty_grid_flag_exits_2_before_writing(tmp_path, capsys, flag):
+    out = tmp_path / "o"
+    assert run_cli("run", flag, "", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -284,6 +299,18 @@ def _gen_csv(tmp_path, *flags):
     data = tmp_path / "data.csv"
     assert run_cli("gen-data", "--out", str(data), "--n-per-experience", "100", *flags) == 0
     return data
+
+
+def test_cli_run_empty_seed_list_with_csv_exits_2_before_writing(tmp_path, capsys):
+    data = _gen_csv(tmp_path, "--feature-dim", "8")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"seeds": []}))
+    out = tmp_path / "o"
+    assert run_cli("run", "--config", str(cfg_path), "--data", str(data), "--out", str(out),
+                   "--feature-dim", "8") == 2
+    err = capsys.readouterr().err
+    assert err == "error: the grid has no seed: its seeds list is empty\n"
+    assert not out.exists()
 
 
 def test_cli_run_non_finite_csv_cell_exits_2_before_writing(tmp_path, capsys):
@@ -476,10 +503,6 @@ def test_cli_worker_pool_is_clamped_to_cell_count(tmp_path, monkeypatch):
     ("--n-experiences", "0", "n_experiences"),
     ("--stepsize-safety", "5", "stepsize_safety"),
     ("--stepsize-safety", "0", "stepsize_safety"),
-    ("--adamw-beta1", "1", "adamw_beta1"),
-    ("--adamw-beta2", "-0.5", "adamw_beta2"),
-    ("--adamw-eps", "0", "adamw_eps"),
-    ("--weight-decay", "-1", "weight_decay"),
     ("--memory-size", "0", "memory_size"),
     ("--patterns-per-exp", "0", "patterns_per_exp"),
     ("--pgd-iterations", "0", "pgd_iterations"),
@@ -487,6 +510,9 @@ def test_cli_worker_pool_is_clamped_to_cell_count(tmp_path, monkeypatch):
     ("--feature-dim", "0", "feature_dim"),
     ("--n-per-experience", "1", "n_per_experience"),
     ("--prior-concentration", "2", "prior_concentration"),
+    ("--mean-scale", "nan", "mean_scale"),
+    ("--mean-scale", "inf", "mean_scale"),
+    ("--mean-scale", "0", "mean_scale"),
 ])
 def test_cli_rejects_out_of_range_config_before_writing(tmp_path, capsys, flag, value, field):
     out = tmp_path / "o"
