@@ -6,9 +6,9 @@ Subcommands:
   bench     time the projectors over a (m, d_phi, K) grid
   gen-data  sample a synthetic drift stream and dump it as CSV
 
-Flags mirror the TrainConfig and StreamSpec field names.  Worker count
-for the run grid comes from the GEMPROJ_WORKERS environment variable
-(an integer >= 1, clamped to the number of cells).
+Flags mirror the TrainConfig and StreamSpec field names but GRID_OWNED's.
+Worker count for the run grid comes from the GEMPROJ_WORKERS environment
+variable (an integer >= 1, clamped to the number of cells).
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 a run
 diverged (its cell writes run_<method>_seed<seed>.failed.json with the
 config echo and diagnostics; the other cells still write their documents).
@@ -46,23 +46,38 @@ class CliError(Exception):
     """Usage-level error (bad config, missing file); exits with code 2."""
 
 
+# The fields `run` sets per grid cell, each with where its value comes from;
+# they get no `run` flag and a config file's train/stream section may not name them.
+_SEEDS = "--seeds or the 'seeds' list"
+GRID_OWNED = {TrainConfig: {"method": "--methods or the 'methods' list", "seed": _SEEDS},
+              StreamSpec: {"seed": _SEEDS, "n_experiences": "--n-experiences or train.n_experiences"}}
+CONFIG_SECTIONS = {"train": TrainConfig, "stream": StreamSpec}
+
+
 def _add_dataclass_args(parser, cls, skip=()):
     for f in dataclasses.fields(cls):
-        kind = {"int": int, "float": float, "str": str}.get(f.type)
-        if f.name not in skip and kind is not None:  # tuple-typed fields are config-file only
-            parser.add_argument("--" + f.name.replace("_", "-"), dest=f.name, type=kind,
+        if f.name not in skip:
+            parser.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                                type={"int": int, "float": float, "str": str}[f.type],
                                 default=None, help=f"default: {f.default}")
 
 
 def _collect_overrides(args, cls, skip=()):
-    out = {}
-    for f in dataclasses.fields(cls):
-        if f.name in skip:
-            continue
-        val = getattr(args, f.name, None)
-        if val is not None:
-            out[f.name] = val
-    return out
+    return {f.name: getattr(args, f.name) for f in dataclasses.fields(cls)
+            if f.name not in skip and getattr(args, f.name) is not None}
+
+
+def _ints(name: str, text: str, minimum: int, many: bool = True) -> list[int]:
+    """``text`` as a comma list of integers >= ``minimum`` (a single one
+    unless ``many``); anything else is a usage error naming ``name``."""
+    try:
+        values = [int(v) for v in (text.split(",") if many else [text])]
+    except ValueError:
+        values = []
+    if not values or min(values) < minimum:
+        kind = "a comma list of integers" if many else "an integer"
+        raise CliError(f"{name} must be {kind} >= {minimum}, got {text!r}")
+    return values
 
 
 def _load_config_file(path: str) -> dict:
@@ -82,6 +97,11 @@ def _load_config_file(path: str) -> dict:
         if not isinstance(value, sections[key]):
             kind = "an object" if sections[key] is dict else "a list"
             raise CliError(f"{path}: section {key!r} must be {kind}, got {value!r}")
+    for section, cls in CONFIG_SECTIONS.items():
+        for name in doc.get(section, {}):
+            if name in GRID_OWNED[cls]:
+                raise CliError(f"{path}: {section}.{name} is set per grid cell;"
+                               f" give it through {GRID_OWNED[cls][name]}")
     return doc
 
 
@@ -131,13 +151,11 @@ def execute_run(config: TrainConfig, spec: StreamSpec, table: np.ndarray | None)
 
 def cmd_run(args) -> int:
     file_cfg = _load_config_file(args.config) if args.config else {}
-    train_base = dict(file_cfg.get("train", {}))
-    train_base.update(_collect_overrides(args, TrainConfig, skip=("method", "seed")))
-    stream_base = dict(file_cfg.get("stream", {}))
-    stream_base.update(_collect_overrides(args, StreamSpec,
-                                          skip=("seed", "n_experiences", "prior_schedule")))
+    train_base, stream_base = (
+        {**file_cfg.get(section, {}), **_collect_overrides(args, cls, skip=GRID_OWNED[cls])}
+        for section, cls in CONFIG_SECTIONS.items())
     methods = file_cfg.get("methods", ["igem"]) if args.methods is None else args.methods.split(",")
-    seeds = file_cfg.get("seeds", [0]) if args.seeds is None else [int(s) for s in args.seeds.split(",")]
+    seeds = file_cfg.get("seeds", [0]) if args.seeds is None else _ints("--seeds", args.seeds, 0)
 
     if args.data is not None and not os.path.exists(args.data):
         raise CliError(f"dataset file not found: {args.data}")
@@ -152,12 +170,13 @@ def cmd_run(args) -> int:
     cells = [_build_cell(train_base, stream_base, method, seed) for method in methods for seed in seeds]
     table = None if args.data is None else _read_data(args.data, *cells[0])
 
-    raw = os.environ.get("GEMPROJ_WORKERS", "1")
-    if not raw.strip().isdecimal() or int(raw) < 1:
-        raise CliError(f"GEMPROJ_WORKERS must be an integer >= 1, got {raw!r}")
-    workers = min(int(raw), len(cells))
+    [workers] = _ints("GEMPROJ_WORKERS", os.environ.get("GEMPROJ_WORKERS", "1"), 1, many=False)
+    workers = min(workers, len(cells))
     out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as e:
+        raise CliError(f"--out {out_dir}: cannot make the output directory: {e.strerror}") from None
 
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -196,26 +215,18 @@ def cmd_verify(args) -> int:
     return VERIFY_FAILURE if any_fail else 0
 
 
-def _positive_ints(flag: str, text: str) -> tuple[int, ...]:
-    try:
-        values = tuple(int(v) for v in text.split(","))
-    except ValueError:
-        values = ()
-    if not values or min(values) < 1:
-        raise CliError(f"{flag} must be a comma list of integers >= 1, got {text!r}")
-    return values
-
-
 def cmd_bench(args) -> int:
-    ms, ds, ks = (_positive_ints(f"--{name}", getattr(args, name)) for name in ("ms", "ds", "ks"))
-    if args.reps < 1:
-        raise CliError(f"--reps must be >= 1, got {args.reps}")
+    ms, ds, ks = (_ints(f"--{name}", getattr(args, name), 1) for name in ("ms", "ds", "ks"))
+    [reps] = _ints("--reps", args.reps, 1, many=False)
+    if args.out and (os.path.isdir(args.out)
+                     or not os.path.isdir(os.path.dirname(os.path.abspath(args.out)))):
+        raise CliError(f"--out {args.out}: not a file path in an existing directory")
     cell = (ms[0], ds[len(ds) // 2], ks[0])
     n_adjacent = len(bench_mod.adjacent_cells(ms, ds, ks, *cell))
     if n_adjacent < 2:
         raise CliError(f"cell {cell} has {n_adjacent} neighbors in the --ms/--ds/--ks grid;"
                        " the cost fit and the adjacent-cell check need at least 2")
-    rows = bench_mod.bench_igem_grid(ms, ds, ks, reps=args.reps)
+    rows = bench_mod.bench_igem_grid(ms, ds, ks, reps=reps)
     a, b, r2 = bench_mod.linear_fit_r2(rows)
     ordering = bench_mod.bench_ordering()
     csv_text = bench_mod.rows_to_csv(rows + list(ordering.values()))
@@ -243,9 +254,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_gen_data(args) -> int:
-    overrides = _collect_overrides(args, StreamSpec, skip=("prior_schedule",))
-    spec = StreamSpec(**overrides)
-    stream = generate_stream(spec)
+    stream = generate_stream(StreamSpec(**_collect_overrides(args, StreamSpec)))
     dump_csv(stream, args.out)
     total = sum(s.n_train + s.n_test for s in stream)
     print(f"wrote {args.out}: {len(stream)} experiences, {total} rows")
@@ -264,8 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seeds", help="comma list of integer seeds")
     p_run.add_argument("--out", default="results", help="output directory")
     p_run.add_argument("--data", help="external dataset CSV (default: synthetic stream)")
-    _add_dataclass_args(p_run, TrainConfig, skip=("method", "seed"))
-    _add_dataclass_args(p_run, StreamSpec, skip=("seed", "n_experiences", "prior_schedule"))
+    for cls in CONFIG_SECTIONS.values():
+        _add_dataclass_args(p_run, cls, skip=GRID_OWNED[cls])
     p_run.set_defaults(fn=cmd_run)
 
     p_verify = sub.add_parser("verify", help="run a property suite")
@@ -276,13 +285,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--ms", default=",".join(str(v) for v in bench_mod.DEFAULT_MS))
     p_bench.add_argument("--ds", default=",".join(str(v) for v in bench_mod.DEFAULT_DS))
     p_bench.add_argument("--ks", default=",".join(str(v) for v in bench_mod.DEFAULT_KS))
-    p_bench.add_argument("--reps", type=int, default=9)
+    p_bench.add_argument("--reps", default="9")
     p_bench.add_argument("--out", help="write grid CSV here (default: stdout)")
     p_bench.set_defaults(fn=cmd_bench)
 
     p_gen = sub.add_parser("gen-data", help="dump a synthetic stream as CSV")
     p_gen.add_argument("--out", required=True, help="output CSV path")
-    _add_dataclass_args(p_gen, StreamSpec, skip=("prior_schedule",))
+    _add_dataclass_args(p_gen, StreamSpec)
     p_gen.set_defaults(fn=cmd_gen_data)
     return parser
 

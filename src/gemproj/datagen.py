@@ -37,13 +37,14 @@ POOLED_SEED_TAG = 0xF00D  # generate_pooled's substream, disjoint from the exper
 
 def check_ranges(obj, ranges):
     """Raise ValueError naming the first field in ``ranges`` that is not a number
-    of its declared type (an int field takes integers only) within its range."""
+    of its declared type (an int field takes integers only, and no field takes
+    a bool) within its range."""
     ints = {f.name for f in fields(obj) if f.type in ("int", int)}
     for names, rule, ok in ranges:
         for name in names:
             value = getattr(obj, name)
-            kind = "an integer" if name in ints else "a number"
-            if not isinstance(value, numbers.Integral if name in ints else numbers.Real) or not ok(value):
+            kind, number = ("an integer", numbers.Integral) if name in ints else ("a number", numbers.Real)
+            if isinstance(value, bool) or not isinstance(value, number) or not ok(value):
                 raise ValueError(f"{name} must be {kind} {rule}, got {value!r}")
 
 
@@ -66,31 +67,20 @@ class StreamSpec:
     prior_concentration: float = 0.7  # mass on the focus class of each experience
     mean_scale: float = DEFAULT_MEAN_SCALE
     seed: int = 0
-    prior_schedule: tuple[tuple[float, ...], ...] | None = None
 
     def __post_init__(self):
         check_ranges(self, _RANGES)
 
     def priors(self) -> np.ndarray:
-        """Per-experience class-probability vectors, each summing to 1."""
-        if self.prior_schedule is not None:
-            P = np.asarray(self.prior_schedule, dtype=np.float64)
-            if P.shape != (self.n_experiences, self.n_classes):
-                raise ValueError(
-                    f"prior_schedule has shape {P.shape}, expected "
-                    f"({self.n_experiences}, {self.n_classes})"
-                )
-        else:
-            # Experience e concentrates mass on class (e mod C), rest uniform.
-            p = self.prior_concentration
-            rest = (1.0 - p) / (self.n_classes - 1) if self.n_classes > 1 else 0.0
-            P = np.full((self.n_experiences, self.n_classes), rest)
-            for e in range(self.n_experiences):
-                P[e, e % self.n_classes] = p
+        """Per-experience class-probability vectors, each summing to 1: experience
+        e puts ``prior_concentration`` on class (e mod C), the rest uniformly."""
+        p = self.prior_concentration
+        rest = (1.0 - p) / (self.n_classes - 1) if self.n_classes > 1 else 0.0
+        P = np.full((self.n_experiences, self.n_classes), rest)
+        for e in range(self.n_experiences):
+            P[e, e % self.n_classes] = p
         if np.any(np.abs(P.sum(axis=1) - 1.0) > 1e-12):
             raise ValueError("each prior vector must sum to 1 (tolerance 1e-12)")
-        if np.any(P < 0.0):
-            raise ValueError("priors must be nonnegative")
         return P
 
     def class_means(self) -> np.ndarray:

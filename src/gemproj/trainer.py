@@ -136,21 +136,19 @@ def optimizer_step(phi: np.ndarray, g_tilde: np.ndarray, opt: OptState, config: 
     """
     if phi.shape != g_tilde.shape:
         raise ValueError("phi and gradient shapes differ")
-    # overflow is reported once, by the finiteness check below
-    with np.errstate(over="ignore", invalid="ignore"):
-        if config.optimizer == "sgd":
-            new_phi = phi - config.lr * g_tilde
-        else:
-            if opt.m is None:
-                opt.m = np.zeros_like(phi)
-                opt.v = np.zeros_like(phi)
-            opt.t += 1
-            b1, b2 = ADAMW_BETAS
-            opt.m = b1 * opt.m + (1.0 - b1) * g_tilde
-            opt.v = b2 * opt.v + (1.0 - b2) * g_tilde * g_tilde
-            m_hat = opt.m / (1.0 - b1 ** opt.t)
-            v_hat = opt.v / (1.0 - b2 ** opt.t)
-            new_phi = phi - config.lr * m_hat / (np.sqrt(v_hat) + ADAMW_EPS)
+    if config.optimizer == "sgd":
+        new_phi = phi - config.lr * g_tilde
+    else:
+        if opt.m is None:
+            opt.m = np.zeros_like(phi)
+            opt.v = np.zeros_like(phi)
+        opt.t += 1
+        b1, b2 = ADAMW_BETAS
+        opt.m = b1 * opt.m + (1.0 - b1) * g_tilde
+        opt.v = b2 * opt.v + (1.0 - b2) * g_tilde * g_tilde
+        m_hat = opt.m / (1.0 - b1 ** opt.t)
+        v_hat = opt.v / (1.0 - b2 ** opt.t)
+        new_phi = phi - config.lr * m_hat / (np.sqrt(v_hat) + ADAMW_EPS)
     if not np.all(np.isfinite(new_phi)):
         raise NonFiniteLossError("non-finite parameter update")
     return new_phi
@@ -352,12 +350,14 @@ def run_experiences(
         raise ValueError(f"stream has {len(stream)} experiences, config expects {T}")
     state = make_state(config, model)
     R = np.zeros((T + 1, T))
-    R[0] = _eval_all(model, stream)
-    for t, split in enumerate(stream):
-        start_task(state, t)
-        order = state.rng.permutation(split.n_train)
-        for i in range(0, split.n_train, config.train_mb_size):
-            idx = order[i : i + config.train_mb_size]
-            train_step(state, split.train_x[idx], split.train_y[idx])
-        R[t + 1] = _eval_all(model, stream)
+    # a diverging run is reported once, as a finiteness check's NonFiniteLossError
+    with np.errstate(over="ignore", invalid="ignore"):
+        R[0] = _eval_all(model, stream)
+        for t, split in enumerate(stream):
+            start_task(state, t)
+            order = state.rng.permutation(split.n_train)
+            for i in range(0, split.n_train, config.train_mb_size):
+                idx = order[i : i + config.train_mb_size]
+                train_step(state, split.train_x[idx], split.train_y[idx])
+            R[t + 1] = _eval_all(model, stream)
     return AccuracyMatrix(R), state.log

@@ -51,7 +51,7 @@ def test_config_echo_round_trips():
 
 def test_run_result_document_shape():
     doc, _ = small_doc()
-    assert doc["schema_version"] == "7"
+    assert doc["schema_version"] == "8"
     assert doc["kind"] == "run_result"
     R = np.array(doc["accuracy_matrix"])
     assert R.shape == (4, 3)
@@ -219,6 +219,8 @@ def test_cli_config_with_a_removed_field_exits_2_before_writing(tmp_path, capsys
 @pytest.mark.parametrize("config", [
     {"seeds": 0}, {"train": [1]}, {"stream": {"bogus": 1}}, {"stream": {"n_classes": "4"}},
     {"methods": "igem"}, {"seeds": [1.5]}, {"seeds": []}, {"methods": []},
+    # JSON true is not a number, though Python's bool is an int
+    {"seeds": [True]}, {"train": {"pgd_iterations": True}}, {"train": {"lr": True}},
 ])
 def test_cli_malformed_config_file_exits_2_before_writing(tmp_path, capsys, config):
     cfg_path = tmp_path / "cfg.json"
@@ -239,6 +241,60 @@ def test_cli_rejects_a_repeated_grid_cell_before_writing(tmp_path, capsys, metho
     assert run_cli("run", "--methods", methods, "--seeds", seeds, "--out", str(out)) == 2
     assert f"{repeated} appears more than once" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("seeds", ["1.5", "0,x", "-1", "0,"])
+def test_cli_malformed_seeds_flag_names_it_before_writing(tmp_path, capsys, seeds):
+    out = tmp_path / "o"
+    assert run_cli("run", "--methods", "naive", "--seeds", seeds, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --seeds must be a comma list of integers >= 0, got {seeds!r}\n"
+    assert not out.exists()
+
+
+# fields that `run` sets per grid cell, from --methods/--seeds and train.n_experiences
+GRID_OWNED = {("train", "method"), ("train", "seed"), ("stream", "seed"), ("stream", "n_experiences")}
+SECTION_FIELDS = [(section, f) for section, cls in (("train", TrainConfig), ("stream", StreamSpec))
+                  for f in dataclasses.fields(cls)]
+
+
+def record_cells(monkeypatch):
+    """Replace the run of each cell by recording its (config, spec)."""
+    import gemproj.cli as cli
+
+    cells = []
+
+    def record(config, spec, table):
+        cells.append((config, spec))
+        return {"error": "not run"}, None  # a failure document, so the run exits 3
+
+    monkeypatch.setattr(cli, "execute_run", record)
+    monkeypatch.delenv("GEMPROJ_WORKERS", raising=False)
+    return cells
+
+
+@pytest.mark.parametrize("section,field", SECTION_FIELDS,
+                         ids=[f"{section}.{f.name}" for section, f in SECTION_FIELDS])
+def test_every_setting_is_a_run_flag_and_config_key_or_grid_owned(tmp_path, monkeypatch, capsys,
+                                                                 section, field):
+    cells = record_cells(monkeypatch)
+    cfg_path = tmp_path / "cfg.json"
+    if (section, field.name) in GRID_OWNED:
+        cfg_path.write_text(json.dumps({section: {field.name: field.default}}))
+        out = tmp_path / "o"
+        assert run_cli("run", "--config", str(cfg_path), "--out", str(out)) == 2
+        assert f"{section}.{field.name} is set per grid cell" in capsys.readouterr().err
+        assert not out.exists() and not cells
+        return
+    # a valid value other than the default, so the cell shows where it came from
+    other = {"int": lambda v: v + 1, "float": lambda v: v / 2, "str": {"sgd": "adamw"}.get}
+    value = other[field.type](field.default)
+    cfg_path.write_text(json.dumps({section: {field.name: value}}))
+    flag = "--" + field.name.replace("_", "-")
+    for source in (["--config", str(cfg_path)], [flag, str(value)]):
+        assert run_cli("run", "--methods", "naive", "--out", str(tmp_path / "o"), *source) == 3
+        config, spec = cells.pop()
+        assert getattr(config if section == "train" else spec, field.name) == value
 
 
 @pytest.mark.parametrize("flag", ["--methods", "--seeds"])
@@ -388,15 +444,10 @@ def test_run_help_documents_every_config_flag_with_its_default(capsys):
         run_cli("run", "--help")
     assert exc.value.code == 0
     text = " ".join(capsys.readouterr().out.split())
-    # method and seed are grid flags, the stream takes n_experiences from the
-    # train config, and prior_schedule is set in a config file only
-    no_flag = {TrainConfig: {"method", "seed"},
-               StreamSpec: {"seed", "n_experiences", "prior_schedule"}}
-    for cls, skip in no_flag.items():
-        for f in dataclasses.fields(cls):
-            if f.name not in skip:
-                flag = "--" + f.name.replace("_", "-")
-                assert f"{flag} {f.name.upper()} default: {f.default}" in text
+    for section, f in SECTION_FIELDS:
+        if (section, f.name) not in GRID_OWNED:
+            flag = "--" + f.name.replace("_", "-")
+            assert f"{flag} {f.name.upper()} default: {f.default}" in text
 
 
 def test_cli_verify_metrics_passes(capsys):
@@ -434,6 +485,7 @@ def test_cli_rejects_bad_worker_count(tmp_path, monkeypatch, capsys, value):
 
 @pytest.mark.parametrize("flag,value", [
     ("--ms", "0"), ("--ms", "8,-1"), ("--ds", "0"), ("--ks", "0"), ("--ks", "3,x"), ("--reps", "0"),
+    ("--reps", "1.5"), ("--reps", "2,3"),
 ])
 def test_cli_bench_rejects_non_positive_grid_before_timing(monkeypatch, capsys, flag, value):
     import gemproj.bench as bench
@@ -546,13 +598,41 @@ def test_cli_diverging_run_exits_3_with_failure_document(tmp_path, capsys):
 
 
 def test_cli_diverging_run_prints_one_line_without_warnings(tmp_path, capsys):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code = run_cli("run", "--methods", "naive", "--seeds", "0", "--out", str(tmp_path / "o"),
-                       "--lr", "1e300", "--n-per-experience", "200", "--feature-dim", "8")
-    err = capsys.readouterr().err
-    assert code == 3
-    assert err.startswith("error: ") and err.count("\n") == 1
+    # lr 1e300 overflows the first update; lr 1 (default igem, sgd and stream)
+    # overflows the forward pass and the constraint rows' norms first
+    cases = [["--methods", "naive", "--lr", "1e300", "--n-per-experience", "200", "--feature-dim", "8"],
+             ["--lr", "1"]]
+    for i, flags in enumerate(cases):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli("run", "--seeds", "0", "--out", str(tmp_path / str(i)), *flags)
+        err = capsys.readouterr().err
+        assert code == 3, flags
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_cli_run_out_that_cannot_be_a_directory_exits_2_before_any_cell(tmp_path, monkeypatch, capsys):
+    cells = record_cells(monkeypatch)
+    afile = tmp_path / "afile"
+    afile.write_text("x")
+    for out in (afile, afile / "sub"):
+        assert run_cli("run", "--methods", "naive", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --out {out}: ") and err.count("\n") == 1
+    assert not cells and afile.read_text() == "x"
+
+
+def test_cli_bench_out_that_cannot_be_written_exits_2_before_timing(tmp_path, monkeypatch, capsys):
+    import gemproj.bench as bench
+
+    def no_timing(*args, **kwargs):
+        raise AssertionError("timed before --out was checked")
+
+    monkeypatch.setattr(bench, "time_round_robin", no_timing)
+    for out in (tmp_path / "missing" / "g.csv", tmp_path):
+        assert run_cli("bench", "--ms", "8,16", "--ds", "1000,2000", "--ks", "3", "--reps", "1",
+                       "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"error: --out {out}: not a file path in an existing directory\n"
 
 
 def test_cli_other_cells_still_write_when_one_diverges(tmp_path, monkeypatch, capsys):

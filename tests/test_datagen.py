@@ -18,11 +18,9 @@ from gemproj.datagen import (
 
 def test_uniform_priors_give_near_uniform_frequencies():
     n = 8000
-    spec = StreamSpec(
-        seed=0,
-        n_per_experience=n,
-        prior_schedule=tuple(tuple([0.25] * 4) for _ in range(3)),
-    )
+    # with 4 classes, a focus-class share of 0.25 spreads the rest at 0.75 / 3 = 0.25
+    spec = StreamSpec(seed=0, n_per_experience=n, prior_concentration=0.25)
+    np.testing.assert_array_equal(spec.priors(), np.full((3, 4), 0.25))
     for split in generate_stream(spec):
         y = np.concatenate([split.train_y, split.test_y])
         counts = np.bincount(y, minlength=4)
@@ -32,14 +30,10 @@ def test_uniform_priors_give_near_uniform_frequencies():
 
 
 def test_degenerate_prior_concentrates_on_one_class():
-    spec = StreamSpec(
-        seed=0,
-        n_per_experience=200,
-        prior_schedule=((1.0, 0.0, 0.0, 0.0),) + ((0.25, 0.25, 0.25, 0.25),) * 2,
-    )
-    stream = generate_stream(spec)
-    exp0 = next(s for s in stream if s.experience_id == 0)
-    assert set(np.concatenate([exp0.train_y, exp0.test_y])) == {0}
+    spec = StreamSpec(seed=0, n_per_experience=200, prior_concentration=1.0)
+    for split in generate_stream(spec):
+        # experience e draws only its focus class, e mod n_classes
+        assert set(np.concatenate([split.train_y, split.test_y])) == {split.experience_id}
 
 
 def test_same_seed_reproduces_stream_bit_for_bit():
@@ -64,11 +58,8 @@ def test_experiences_use_disjoint_rows():
 def test_class_dead_in_every_experience_warns_but_generates(caplog):
     import logging
 
-    spec = StreamSpec(
-        seed=0,
-        n_per_experience=50,
-        prior_schedule=tuple(((0.5, 0.5, 0.0, 0.0),) * 3),
-    )
+    # 3 fully concentrated experiences over 4 classes never draw class 3
+    spec = StreamSpec(seed=0, n_per_experience=50, prior_concentration=1.0)
     with caplog.at_level(logging.WARNING, logger="gemproj.datagen"):
         stream = generate_stream(spec)
     assert len(stream) == 3
@@ -83,12 +74,11 @@ def test_experience_order_is_shuffled_per_seed():
     assert len(orders) > 1  # at least two seeds disagree on the order
 
 
-def test_prior_schedule_must_sum_to_one():
-    spec = StreamSpec(prior_schedule=((0.5, 0.3, 0.1, 0.0),) * 3)
+def test_priors_must_sum_to_one():
+    # a single class leaves no other class to take the unconcentrated mass
     with pytest.raises(ValueError, match="sum to 1"):
-        spec.priors()
-    with pytest.raises(ValueError, match="shape"):
-        StreamSpec(prior_schedule=((0.5, 0.5),) * 3).priors()
+        StreamSpec(n_classes=1).priors()
+    np.testing.assert_array_equal(StreamSpec(n_classes=1, prior_concentration=1.0).priors(), np.ones((3, 1)))
 
 
 def test_split_is_pure_function_of_seed_exp_and_rows():
