@@ -39,10 +39,6 @@ class ModelConfig:
     def __post_init__(self):
         if self.rank < 1:
             raise ValueError("rank must be >= 1")
-        if self.rank > min(self.hidden_dim, self.input_dim) or self.rank > min(
-            self.n_classes, self.hidden_dim
-        ):
-            raise ValueError("rank must satisfy r <= min(d, k) in every layer")
 
 
 class LoraLayer:

@@ -80,9 +80,18 @@ def _ints(name: str, text: str, minimum: int, many: bool = True) -> list[int]:
     return values
 
 
+def _input_file(flag: str, path: str):
+    if not os.path.isfile(path):
+        raise CliError(f"{flag} {path}: not an existing file")
+
+
+def _output_file(path: str):
+    if os.path.isdir(path) or not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        raise CliError(f"--out {path}: not a file path in an existing directory")
+
+
 def _load_config_file(path: str) -> dict:
-    if not os.path.exists(path):
-        raise CliError(f"config file not found: {path}")
+    _input_file("--config", path)
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -106,14 +115,13 @@ def _load_config_file(path: str) -> dict:
 
 
 def _build_cell(train: dict, stream: dict, method: str, seed: int) -> tuple[TrainConfig, StreamSpec]:
-    """One grid cell's config and stream spec, both checked (priors included)."""
+    """One grid cell's config and stream spec, both range-checked."""
     try:
         config = TrainConfig(**{**train, "method": method, "seed": seed})
     except (TypeError, ValueError) as e:
         raise CliError(f"invalid train config: {e}") from None
     try:
         spec = StreamSpec(**{**stream, "seed": seed, "n_experiences": config.n_experiences})
-        spec.priors()
     except (TypeError, ValueError) as e:
         raise CliError(f"invalid stream config: {e}") from None
     return config, spec
@@ -157,8 +165,8 @@ def cmd_run(args) -> int:
     methods = file_cfg.get("methods", ["igem"]) if args.methods is None else args.methods.split(",")
     seeds = file_cfg.get("seeds", [0]) if args.seeds is None else _ints("--seeds", args.seeds, 0)
 
-    if args.data is not None and not os.path.exists(args.data):
-        raise CliError(f"dataset file not found: {args.data}")
+    if args.data is not None:
+        _input_file("--data", args.data)
     for name, values in (("method", methods), ("seed", seeds)):
         if not values:
             raise CliError(f"the grid has no {name}: its {name}s list is empty")
@@ -218,9 +226,8 @@ def cmd_verify(args) -> int:
 def cmd_bench(args) -> int:
     ms, ds, ks = (_ints(f"--{name}", getattr(args, name), 1) for name in ("ms", "ds", "ks"))
     [reps] = _ints("--reps", args.reps, 1, many=False)
-    if args.out and (os.path.isdir(args.out)
-                     or not os.path.isdir(os.path.dirname(os.path.abspath(args.out)))):
-        raise CliError(f"--out {args.out}: not a file path in an existing directory")
+    if args.out:
+        _output_file(args.out)
     cell = (ms[0], ds[len(ds) // 2], ks[0])
     n_adjacent = len(bench_mod.adjacent_cells(ms, ds, ks, *cell))
     if n_adjacent < 2:
@@ -254,6 +261,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_gen_data(args) -> int:
+    _output_file(args.out)
     stream = generate_stream(StreamSpec(**_collect_overrides(args, StreamSpec)))
     dump_csv(stream, args.out)
     total = sum(s.n_train + s.n_test for s in stream)

@@ -48,10 +48,10 @@ def check_ranges(obj, ranges):
                 raise ValueError(f"{name} must be {kind} {rule}, got {value!r}")
 
 
-# (fields, rule, check) per numeric StreamSpec field, failing on NaN; priors() checks the rest
+# (fields, rule, check) per numeric StreamSpec field, failing on NaN
 _RANGES = (
-    (("n_classes", "n_experiences", "feature_dim"), ">= 1", lambda v: v >= 1),
-    (("n_per_experience",), ">= 2", lambda v: v >= 2),
+    (("n_experiences", "feature_dim"), ">= 1", lambda v: v >= 1),
+    (("n_classes", "n_per_experience"), ">= 2", lambda v: v >= 2),
     (("seed",), ">= 0", lambda v: v >= 0),
     (("prior_concentration",), "in [0, 1]", lambda v: 0 <= v <= 1),
     (("mean_scale",), "> 0 and finite", lambda v: 0 < v < math.inf),
@@ -75,12 +75,9 @@ class StreamSpec:
         """Per-experience class-probability vectors, each summing to 1: experience
         e puts ``prior_concentration`` on class (e mod C), the rest uniformly."""
         p = self.prior_concentration
-        rest = (1.0 - p) / (self.n_classes - 1) if self.n_classes > 1 else 0.0
-        P = np.full((self.n_experiences, self.n_classes), rest)
+        P = np.full((self.n_experiences, self.n_classes), (1.0 - p) / (self.n_classes - 1))
         for e in range(self.n_experiences):
             P[e, e % self.n_classes] = p
-        if np.any(np.abs(P.sum(axis=1) - 1.0) > 1e-12):
-            raise ValueError("each prior vector must sum to 1 (tolerance 1e-12)")
         return P
 
     def class_means(self) -> np.ndarray:

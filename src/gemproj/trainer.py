@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import adapter_model as am
-from .datagen import ExperienceSplit, check_ranges
+from .datagen import ExperienceSplit, check_ranges, generate_pooled
 from .metrics import AccuracyMatrix
 from .projector import (
     DEFAULT_ENUM_LIMIT,
@@ -184,12 +184,10 @@ def make_state(config: TrainConfig, model: am.TinyMlp) -> TrainerState:
 
 
 def start_task(state: TrainerState, task_index: int):
-    """Task-boundary bookkeeping: reset the dual multipliers to a cold start
-    sized for the new constraint count and invalidate the spectral estimate."""
+    """Task-boundary bookkeeping: drop the dual multipliers, so igem's next
+    projection cold-starts (``train_step`` sizes them and the spectral estimate)."""
     state.task_index = task_index
-    m = len([t for t in state.buffers.tasks() if t < task_index])
-    state.dual = DualState.cold(m)
-    state.sigma = None
+    state.dual = None
 
 
 def _agem_reference_gradient(state: TrainerState, past: list[int], weights) -> np.ndarray:
@@ -254,8 +252,9 @@ def train_step(state: TrainerState, X, y) -> StepRecord:
         elif cfg.method == "gem_exact":
             result = exact_qp_project(g, G)
         else:  # igem
-            if state.dual.lam.shape[0] != G.rows:
-                # constraint count changed (zero-norm row drop): both go stale
+            if state.dual is None or state.dual.lam.shape[0] != G.rows:
+                # the one cold start: a new task, or a constraint count changed
+                # mid-task (a zero-norm row dropped, or the memory evicted a past task)
                 state.dual = DualState.cold(G.rows)
                 state.sigma = None
             if state.sigma is None or state.sigma_age >= SPECTRAL_REUSE:
@@ -323,8 +322,6 @@ def prepare_model(spec, seed: int, model_config: am.ModelConfig | None = None) -
     """Build a model for a stream: random base weights trained on a pooled
     generic sample, then frozen; adapters start at B = 0 so the adapted
     model is initially identical to the base."""
-    from .datagen import generate_pooled
-
     if model_config is None:
         model_config = am.ModelConfig(input_dim=spec.feature_dim, n_classes=spec.n_classes)
     model = am.build_model(model_config, seed=seed)

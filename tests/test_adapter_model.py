@@ -91,6 +91,15 @@ def test_rank_zero_is_rejected():
         am.ModelConfig(rank=0)
 
 
+def test_rank_above_a_layer_width_has_exact_gradients():
+    # r = 4 exceeds both the input (2) and the output (2) width
+    model = am.build_model(am.ModelConfig(input_dim=2, hidden_dim=3, n_classes=2, rank=4), seed=1)
+    rng = np.random.default_rng(2)
+    model.phi[:] += 0.05 * rng.standard_normal(model.phi.size)
+    fd, chain = gradient_errors(model, rng.standard_normal((6, 2)), rng.integers(0, 2, size=6))
+    assert fd <= 1e-4 and chain <= 1e-10
+
+
 def test_backward_rejects_bad_labels_and_empty_batch():
     model = small_model()
     X, _ = small_batch()

@@ -328,6 +328,16 @@ def test_cli_run_missing_dataset_names_path(tmp_path, capsys):
     assert code == 2 and "nope.csv" in err
 
 
+@pytest.mark.parametrize("argv", [["run", "--config"], ["run", "--data"], ["gen-data", "--out"]],
+                         ids=["run-config", "run-data", "gen-data-out"])
+def test_cli_directory_where_a_file_belongs_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    assert run_cli(*argv, str(tmp_path), *(["--out", str(out)] if argv[0] == "run" else [])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {argv[1]} {tmp_path}: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_cli_run_with_csv_dataset(tmp_path):
     data = tmp_path / "data.csv"
     assert run_cli("gen-data", "--out", str(data), "--n-per-experience", "100",
@@ -559,6 +569,7 @@ def test_cli_worker_pool_is_clamped_to_cell_count(tmp_path, monkeypatch):
     ("--patterns-per-exp", "0", "patterns_per_exp"),
     ("--pgd-iterations", "0", "pgd_iterations"),
     ("--n-classes", "0", "n_classes"),
+    ("--n-classes", "1", "n_classes"),
     ("--feature-dim", "0", "feature_dim"),
     ("--n-per-experience", "1", "n_per_experience"),
     ("--prior-concentration", "2", "prior_concentration"),
@@ -571,6 +582,22 @@ def test_cli_rejects_out_of_range_config_before_writing(tmp_path, capsys, flag, 
     assert run_cli("run", "--methods", "naive", "--seeds", "0", "--out", str(out), flag, value) == 2
     assert field in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("n_experiences", ["1", "3"])
+@pytest.mark.parametrize("flags", [
+    ["--n-classes", "2", "--n-per-experience", "100"],
+    ["--feature-dim", "1", "--n-per-experience", "100"],
+    ["--n-per-experience", "2"],
+    ["--n-classes", "2", "--feature-dim", "1", "--n-per-experience", "2", "--prior-concentration", "0"],
+], ids=["n_classes", "feature_dim", "n_per_experience", "all"])
+def test_cli_run_trains_at_the_lowest_value_of_every_stream_range(tmp_path, flags, n_experiences):
+    # the model's LoRA rank (4) exceeds a layer's width at n_classes 2 or feature_dim 1
+    out = tmp_path / "o"
+    assert run_cli("run", "--methods", "naive,agem,igem,gem_exact", "--seeds", "0", "--out", str(out),
+                   "--n-experiences", n_experiences, *flags) == 0
+    agg = json.loads((out / "aggregate.json").read_text())
+    assert sorted(agg["methods"]) == ["agem", "gem_exact", "igem", "naive"]
 
 
 def test_cli_rejects_gem_exact_beyond_the_enumeration_limit_before_writing(tmp_path, capsys):

@@ -75,10 +75,13 @@ def test_experience_order_is_shuffled_per_seed():
 
 
 def test_priors_must_sum_to_one():
+    for n_classes in range(2, 65):
+        for p in (0.0, 1e-9, 0.1, 1 / 3, 0.5, 0.7, 0.9, 1 - 1e-9, 1.0):
+            P = StreamSpec(n_classes=n_classes, n_experiences=5, prior_concentration=p).priors()
+            assert np.abs(P.sum(axis=1) - 1.0).max() <= 1e-12, (n_classes, p)
     # a single class leaves no other class to take the unconcentrated mass
-    with pytest.raises(ValueError, match="sum to 1"):
-        StreamSpec(n_classes=1).priors()
-    np.testing.assert_array_equal(StreamSpec(n_classes=1, prior_concentration=1.0).priors(), np.ones((3, 1)))
+    with pytest.raises(ValueError, match=r"^n_classes must be an integer >= 2, got 1$"):
+        StreamSpec(n_classes=1)
 
 
 def test_split_is_pure_function_of_seed_exp_and_rows():

@@ -158,7 +158,7 @@ def test_warm_start_lifecycle(monkeypatch):
         train_step(state, X, y)
     assert calls == []
     start_task(state, 1)
-    np.testing.assert_array_equal(state.dual.lam, np.zeros(1))  # cold: one past task
+    assert state.dual is None  # dropped; the first projection sizes it
     for _ in range(2):
         X, y = _batch(rng)
         train_step(state, X, y)
@@ -166,7 +166,45 @@ def test_warm_start_lifecycle(monkeypatch):
     np.testing.assert_array_equal(calls[0][0], np.zeros(1))  # the first step starts cold
     np.testing.assert_array_equal(calls[1][0], calls[0][1])  # the second carries it over
     start_task(state, 2)
-    np.testing.assert_array_equal(state.dual.lam, np.zeros(2))  # a new task resets it
+    assert state.dual is None  # a new task resets it
+    train_step(state, *_batch(rng))
+    np.testing.assert_array_equal(calls[2][0], np.zeros(2))  # cold: two past tasks
+
+
+def test_memory_evicting_a_past_task_cold_starts_igem_mid_task(monkeypatch):
+    # memory_size 2 keeps one row each of tasks 0 and 1 into task 2; its
+    # first insert then water-fills task 0 out, so m drops from 2 to 1
+    real_pgd, real_power = trainer.pgd_project, trainer.power_iteration
+    calls, sigma_calls = [], []  # (lam handed in, final lam) per projection; G.rows per estimate
+
+    def recording_pgd(g, G, warm, *args, **kwargs):
+        res = real_pgd(g, G, warm, *args, **kwargs)
+        calls.append((warm.lam.copy(), res.final_lambda.lam.copy()))
+        return res
+
+    def recording_power(G, **kwargs):
+        sigma_calls.append(G.rows)
+        return real_power(G, **kwargs)
+
+    monkeypatch.setattr(trainer, "pgd_project", recording_pgd)
+    monkeypatch.setattr(trainer, "power_iteration", recording_power)
+    state = _fresh_state(method="igem", seed=3, memory_size=2)
+    rng = np.random.default_rng(5)
+    for task in (0, 1):
+        start_task(state, task)
+        for _ in range(2):
+            train_step(state, *_batch(rng))
+    start_task(state, 2)
+    assert state.buffers.tasks() == [0, 1]
+    calls.clear()
+    sigma_calls.clear()
+    for _ in range(3):
+        train_step(state, *_batch(rng))
+    assert state.buffers.tasks() == [1, 2]
+    np.testing.assert_array_equal(calls[0][0], np.zeros(2))  # the new task starts cold
+    np.testing.assert_array_equal(calls[1][0], np.zeros(1))  # cold again after the eviction
+    np.testing.assert_array_equal(calls[2][0], calls[1][1])  # then carried over
+    assert sigma_calls == [2, 1]  # each cold start also refreshes sigma_hat
 
 
 @pytest.mark.parametrize("method", trainer.METHODS)
