@@ -32,9 +32,10 @@ model = build_model(ModelConfig(input_dim=8, hidden_dim=6, n_classes=4, rank=2),
 buf = ReplayBuffer(capacity_per_task=20, total_cap=30)
 for task, split in enumerate(stream[:2]):
     buf.insert(task, split.train_x[:200], split.train_y[:200])
-    counts = dict(sorted(buf.label_counts(task).items()))
-    print(f"\nbuffer for task {task}: {buf.size(task)} examples, per-label {counts}")
-print(f"total stored = {buf.total_size()} (cap {buf.total_cap}; largest task "
+    labels, counts = np.unique(buf.examples(task)[1], return_counts=True)
+    print(f"\nbuffer for task {task}: {buf.size(task)} examples, "
+          f"per-label {dict(zip(labels.tolist(), counts.tolist()))}")
+print(f"total stored = {sum(buf.size(t) for t in buf.tasks())} (cap {buf.total_cap}; largest task "
       "sheds its oldest entries first)")
 
 G = build_constraint_matrix(buf, model, tasks=[0, 1])

@@ -35,5 +35,6 @@ for method, (_, m) in results.items():
 fgt = {m: r[1]["forgetting"] for m, r in results.items()}
 print(f"\nprojection helps: forgetting naive {fgt['naive']:.4f} vs "
       f"gem_exact {fgt['gem_exact']:.4f} vs igem {fgt['igem']:.4f}")
-print("(the iterative projector matches the exact QP at a fraction of its cost; "
-      "run `gemproj bench` for the timing side)")
+print("(the iterative projector matches the exact QP at a fraction of its cost; for the "
+      "timing side run `pytest -v -s tests/test_acceptance.py -k \"07 or 08\"` or "
+      "`python3 perfbench/run.py --workload projector`)")

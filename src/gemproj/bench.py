@@ -1,8 +1,9 @@
-"""Projection-cost benchmark (the `bench` subcommand).
+"""Projection-cost timing harness for acceptance criteria 7, 7b and 8.
 
-Times each projector over a grid of (m, d_phi, K) cells with warmup
-calls discarded and emits log-scale-friendly CSV rows (raw positive
-seconds, per-cell mean/std/min).  Three measurement choices matter here:
+Times pgd_project over a grid of (m, d_phi, K) cells, with warmup calls
+discarded, fits its cost model and checks a cell against its grid
+neighbors; ``bench_ordering`` times the three projectors on one shared
+instance.  Three measurement choices matter here:
 
 * The grid is timed round-robin, reversing the cell order every round,
   so a slow spell of the host hits all cells alike instead of bending
@@ -35,19 +36,15 @@ from .verify import true_sigma_max
 DEFAULT_MS = (8, 16, 32)
 DEFAULT_DS = (50_000, 100_000, 200_000)
 DEFAULT_KS = (3, 9, 27)
-ORDERING_CELL = {"m": 8, "d": 100_000, "K": 3}
 
 
 @dataclass
 class BenchRow:
-    method: str
     m: int
     d: int
     K: int
     mean_s: float
-    std_s: float
     min_s: float
-    reps: int
 
     @property
     def kmd(self) -> int:
@@ -61,8 +58,8 @@ def _instance(m: int, d: int, seed: int = 0):
     return ConstraintMatrix(G), rng.standard_normal(d)
 
 
-def time_round_robin(fns, warmup: int = 3, reps: int = 9) -> list[tuple[float, float, float]]:
-    """(mean, std, min) wall time of each fn, timed in rounds of one call
+def time_round_robin(fns, warmup: int = 3, reps: int = 9) -> list[tuple[float, float]]:
+    """(mean, min) wall time of each fn, timed in rounds of one call
     each; the warmup rounds are discarded and the call order reverses
     from one round to the next."""
     times = [[] for _ in fns]
@@ -72,7 +69,7 @@ def time_round_robin(fns, warmup: int = 3, reps: int = 9) -> list[tuple[float, f
             fns[i]()
             if r >= warmup:
                 times[i].append(time.perf_counter() - t0)
-    return [(float(np.mean(t)), float(np.std(t)), float(np.min(t))) for t in times]
+    return [(float(np.mean(t)), float(np.min(t))) for t in times]
 
 
 def bench_igem_grid(
@@ -88,7 +85,7 @@ def bench_igem_grid(
                 cells.append((m, d, K))
                 calls.append(functools.partial(pgd_project, g, G, DualState.cold(m), eta, K))
     stats = time_round_robin(calls, warmup, reps)
-    return [BenchRow("igem", m, d, K, *st, reps) for (m, d, K), st in zip(cells, stats)]
+    return [BenchRow(m, d, K, *st) for (m, d, K), st in zip(cells, stats)]
 
 
 def linear_fit_r2(rows: list[BenchRow]) -> tuple[float, float, float]:
@@ -131,13 +128,7 @@ def adjacent_fit_error(rows: list[BenchRow], m: int, d: int, K: int) -> float:
     return abs(target.min_s - pred) / target.min_s
 
 
-def bench_ordering(
-    m: int = ORDERING_CELL["m"],
-    d: int = ORDERING_CELL["d"],
-    K: int = ORDERING_CELL["K"],
-    warmup: int = 3,
-    seed: int = 0,
-) -> dict[str, BenchRow]:
+def bench_ordering(m: int, d: int, K: int, warmup: int = 3, seed: int = 0) -> dict[str, BenchRow]:
     """Mean projection time of the three projectors on one shared instance.
 
     Cheap projectors get more repetitions so a single scheduler stall
@@ -147,34 +138,8 @@ def bench_ordering(
     eta = 1.0 / true_sigma_max(G)
     g_ref = G.data.mean(axis=0)
     warm = DualState.cold(m)
-    out = {}
-    stats = time_round_robin([lambda: agem_project(g, g_ref)], warmup, 50)[0]
-    out["agem"] = BenchRow("agem", m, d, 0, *stats, 50)
-    stats = time_round_robin([lambda: pgd_project(g, G, warm, eta, K)], warmup, 30)[0]
-    out["igem"] = BenchRow("igem", m, d, K, *stats, 30)
-    stats = time_round_robin([lambda: exact_qp_project(g, G)], warmup, 10)[0]
-    out["gem_exact"] = BenchRow("gem_exact", m, d, 0, *stats, 10)
-    return out
-
-
-def bench_identity_path(d: int = 100_000, warmup: int = 3, reps: int = 9) -> dict[str, float]:
-    """All projectors on an empty constraint set (identity path, ~0 overhead);
-    reports the per-method minimum."""
-    rng = np.random.default_rng(0)
-    g = rng.standard_normal(d)
-    G = ConstraintMatrix.empty(d)
-    warm = DualState.cold(0)
-    out = {}
-    out["agem"] = time_round_robin([lambda: agem_project(g, np.zeros(d))], warmup, reps)[0][2]
-    out["igem"] = time_round_robin([lambda: pgd_project(g, G, warm, 1.0, 3)], warmup, reps)[0][2]
-    out["gem_exact"] = time_round_robin([lambda: exact_qp_project(g, G)], warmup, reps)[0][2]
-    return out
-
-
-def rows_to_csv(rows: list[BenchRow]) -> str:
-    lines = ["method,m,d_phi,K,kmd,mean_s,std_s,min_s,reps"]
-    for r in rows:
-        lines.append(
-            f"{r.method},{r.m},{r.d},{r.K},{r.kmd},{r.mean_s!r},{r.std_s!r},{r.min_s!r},{r.reps}"
-        )
-    return "\n".join(lines) + "\n"
+    calls = {"agem": (lambda: agem_project(g, g_ref), 0, 50),
+             "igem": (lambda: pgd_project(g, G, warm, eta, K), K, 30),
+             "gem_exact": (lambda: exact_qp_project(g, G), 0, 10)}
+    return {name: BenchRow(m, d, k, *time_round_robin([fn], warmup, reps)[0])
+            for name, (fn, k, reps) in calls.items()}

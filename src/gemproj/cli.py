@@ -3,7 +3,6 @@
 Subcommands:
   run       train a (seed x method) grid and write result documents
   verify    run a named property suite (exit 1 on any failure)
-  bench     time the projectors over a (m, d_phi, K) grid
   gen-data  sample a synthetic drift stream and dump it as CSV
 
 Flags mirror the TrainConfig and StreamSpec field names but GRID_OWNED's.
@@ -25,7 +24,6 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from . import bench as bench_mod
 from . import verify as verify_mod
 from .datagen import StreamSpec, dump_csv, generate_stream, read_csv, split_table
 from .results import (
@@ -90,6 +88,10 @@ def _output_file(path: str):
         raise CliError(f"--out {path}: not a file path in an existing directory")
 
 
+def _not_utf8(flag: str, path: str, e: UnicodeDecodeError) -> str:
+    return f"{flag} {path}: not UTF-8 text (byte 0x{e.object[e.start]:02x}: {e.reason})"
+
+
 def _load_config_file(path: str) -> dict:
     _input_file("--config", path)
     with open(path, encoding="utf-8") as fh:
@@ -97,6 +99,8 @@ def _load_config_file(path: str) -> dict:
             doc = json.load(fh)
         except json.JSONDecodeError as e:
             raise CliError(f"{path}:{e.lineno}:{e.colno}: invalid JSON: {e.msg}") from None
+        except UnicodeDecodeError as e:
+            raise CliError(_not_utf8("--config", path, e)) from None
     if not isinstance(doc, dict):
         raise CliError(f"{path}: top level must be a JSON object")
     sections = {"train": dict, "stream": dict, "methods": list, "seeds": list}
@@ -130,7 +134,10 @@ def _build_cell(train: dict, stream: dict, method: str, seed: int) -> tuple[Trai
 def _read_data(path: str, config: TrainConfig, spec: StreamSpec) -> np.ndarray:
     """Parse the data CSV once for the whole grid and check it against the
     grid's feature count, experience count and split size."""
-    table = read_csv(path, n_classes=spec.n_classes)
+    try:
+        table = read_csv(path, n_classes=spec.n_classes)
+    except UnicodeDecodeError as e:
+        raise CliError(_not_utf8("--data", path, e)) from None
     dim = table.dtype["x"].shape[0]
     if dim != spec.feature_dim:
         raise CliError(f"{path}: input has dim {dim}, expected feature_dim {spec.feature_dim}"
@@ -223,43 +230,6 @@ def cmd_verify(args) -> int:
     return VERIFY_FAILURE if any_fail else 0
 
 
-def cmd_bench(args) -> int:
-    ms, ds, ks = (_ints(f"--{name}", getattr(args, name), 1) for name in ("ms", "ds", "ks"))
-    [reps] = _ints("--reps", args.reps, 1, many=False)
-    if args.out:
-        _output_file(args.out)
-    cell = (ms[0], ds[len(ds) // 2], ks[0])
-    n_adjacent = len(bench_mod.adjacent_cells(ms, ds, ks, *cell))
-    if n_adjacent < 2:
-        raise CliError(f"cell {cell} has {n_adjacent} neighbors in the --ms/--ds/--ks grid;"
-                       " the cost fit and the adjacent-cell check need at least 2")
-    rows = bench_mod.bench_igem_grid(ms, ds, ks, reps=reps)
-    a, b, r2 = bench_mod.linear_fit_r2(rows)
-    ordering = bench_mod.bench_ordering()
-    csv_text = bench_mod.rows_to_csv(rows + list(ordering.values()))
-    if args.out:
-        from .results import atomic_write_text
-
-        atomic_write_text(args.out, csv_text)
-        print(f"wrote {args.out}")
-    else:
-        print(csv_text, end="")
-    print(f"igem cost model: min_s ~ {a:.2e} + {b:.2e} * K*m*d,  R^2 = {r2:.4f}")
-    err = bench_mod.adjacent_fit_error(rows, *cell)
-    print(f"cell {cell} vs fit from adjacent cells: off by {err:.1%}")
-    t = {k: v.mean_s for k, v in ordering.items()}
-    ok = t["agem"] < t["igem"] < t["gem_exact"]
-    print(
-        "MPO ordering agem < igem < gem_exact: "
-        + ("OK" if ok else "VIOLATED")
-        + f"  (agem={t['agem']:.2e}s igem={t['igem']:.2e}s gem_exact={t['gem_exact']:.2e}s)"
-    )
-    idle = bench_mod.bench_identity_path()
-    print("identity path (m=0) min times: "
-          + " ".join(f"{k}={v:.2e}s" for k, v in idle.items()))
-    return 0
-
-
 def cmd_gen_data(args) -> int:
     _output_file(args.out)
     stream = generate_stream(StreamSpec(**_collect_overrides(args, StreamSpec)))
@@ -288,14 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a property suite")
     p_verify.add_argument("suite", choices=list(verify_mod.SUITES) + ["all"])
     p_verify.set_defaults(fn=cmd_verify)
-
-    p_bench = sub.add_parser("bench", help="time the projectors")
-    p_bench.add_argument("--ms", default=",".join(str(v) for v in bench_mod.DEFAULT_MS))
-    p_bench.add_argument("--ds", default=",".join(str(v) for v in bench_mod.DEFAULT_DS))
-    p_bench.add_argument("--ks", default=",".join(str(v) for v in bench_mod.DEFAULT_KS))
-    p_bench.add_argument("--reps", default="9")
-    p_bench.add_argument("--out", help="write grid CSV here (default: stdout)")
-    p_bench.set_defaults(fn=cmd_bench)
 
     p_gen = sub.add_parser("gen-data", help="dump a synthetic stream as CSV")
     p_gen.add_argument("--out", required=True, help="output CSV path")

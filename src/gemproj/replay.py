@@ -19,7 +19,6 @@ of evicting after every arriving row (the reference in the tests).
 from __future__ import annotations
 
 import logging
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate, zip_longest
 
@@ -104,13 +103,6 @@ class ReplayBuffer:
     def size(self, task: int) -> int:
         mem = self._memories.get(task)
         return mem.size if mem else 0
-
-    def total_size(self) -> int:
-        return sum(mem.size for mem in self._memories.values())
-
-    def label_counts(self, task: int) -> Counter:
-        mem = self._memories.get(task)
-        return Counter(mem.y.tolist()) if mem else Counter()
 
     def examples(self, task: int) -> tuple[np.ndarray, np.ndarray]:
         """The task's stored rows and labels in arrival order (read-only)."""

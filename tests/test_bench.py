@@ -4,21 +4,28 @@ from gemproj.bench import (
     BenchRow,
     adjacent_cells,
     adjacent_fit_error,
-    bench_identity_path,
     bench_ordering,
     linear_fit_r2,
-    rows_to_csv,
+    time_round_robin,
 )
+from gemproj.projector import ConstraintMatrix, DualState, agem_project, exact_qp_project, pgd_project
 
 
 def affine_row(m, d, K, a=1e-6, b=2e-9):
     t = a + b * (K * m * d)
-    return BenchRow("igem", m, d, K, t, 0.0, t, 5)
+    return BenchRow(m, d, K, t, t)
 
 
 def test_identity_path_has_negligible_overhead():
-    means = bench_identity_path(d=50_000, warmup=2, reps=7)
-    assert all(v < 1e-3 for v in means.values())
+    # with no constraints every projector returns g untouched
+    d = 50_000
+    g = np.random.default_rng(0).standard_normal(d)
+    G = ConstraintMatrix.empty(d)
+    warm = DualState.cold(0)
+    stats = time_round_robin([lambda: agem_project(g, np.zeros(d)),
+                              lambda: pgd_project(g, G, warm, 1.0, 3),
+                              lambda: exact_qp_project(g, G)], warmup=2, reps=7)
+    assert all(min_s < 1e-3 for _, min_s in stats)
 
 
 def test_ordering_holds_at_moderate_scale():
@@ -46,10 +53,3 @@ def test_adjacent_cells_step_one_level_along_each_axis():
     assert adjacent_cells((4, 2, 8, 2), (100,), (3, 1), 4, 100, 1) == [
         (2, 100, 1), (8, 100, 1), (4, 100, 3)]
 
-
-def test_rows_to_csv_format():
-    rows = [BenchRow("igem", 2, 100, 3, 0.001, 0.0001, 0.0009, 5)]
-    text = rows_to_csv(rows)
-    lines = text.strip().splitlines()
-    assert lines[0] == "method,m,d_phi,K,kmd,mean_s,std_s,min_s,reps"
-    assert lines[1].startswith("igem,2,100,3,600,")

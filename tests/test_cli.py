@@ -460,6 +460,21 @@ def test_run_help_documents_every_config_flag_with_its_default(capsys):
             assert f"{flag} {f.name.upper()} default: {f.default}" in text
 
 
+def test_readme_docstring_and_parser_name_the_same_subcommands():
+    import argparse
+
+    import gemproj.cli as cli
+
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    in_readme = set(re.findall(r"\bgemproj ([a-z][a-z-]*)", block))
+    listing = cli.__doc__.split("Subcommands:\n", 1)[1].split("\n\n", 1)[0]
+    in_docstring = {line.split()[0] for line in listing.splitlines()}
+    [sub] = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert "run" in in_readme
+    assert in_readme == in_docstring == set(sub.choices)
+
+
 def test_cli_verify_metrics_passes(capsys):
     assert run_cli("verify", "metrics") == 0
     out = capsys.readouterr().out
@@ -491,44 +506,6 @@ def test_cli_rejects_bad_worker_count(tmp_path, monkeypatch, capsys, value):
     monkeypatch.setenv("GEMPROJ_WORKERS", value)
     assert run_cli("run", "--methods", "naive", "--seeds", "0", "--out", str(tmp_path)) == 2
     assert "GEMPROJ_WORKERS must be an integer >= 1" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("flag,value", [
-    ("--ms", "0"), ("--ms", "8,-1"), ("--ds", "0"), ("--ks", "0"), ("--ks", "3,x"), ("--reps", "0"),
-    ("--reps", "1.5"), ("--reps", "2,3"),
-])
-def test_cli_bench_rejects_non_positive_grid_before_timing(monkeypatch, capsys, flag, value):
-    import gemproj.bench as bench
-
-    def no_timing(*args, **kwargs):
-        raise AssertionError("timed before the flags were checked")
-
-    monkeypatch.setattr(bench, "time_round_robin", no_timing)
-    monkeypatch.setattr(bench, "true_sigma_max", no_timing)
-    grid = {"--ms": "8", "--ds": "1000", "--ks": "3", "--reps": "1", flag: value}
-    assert run_cli("bench", *(a for kv in grid.items() for a in kv)) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {flag} must be") and err.count("\n") == 1
-
-
-@pytest.mark.parametrize("ms,ds,ks,n_adjacent", [
-    ("8", "1000", "3", 0),       # one cell: nothing to fit
-    ("8,16", "1000", "3", 1),    # the reported cell has a single neighbor
-    ("8,8", "1000,1000", "3", 0),  # repeated levels are one level
-])
-def test_cli_bench_rejects_a_grid_without_a_fit_before_timing(monkeypatch, capsys, ms, ds, ks, n_adjacent):
-    import gemproj.bench as bench
-
-    def no_timing(*args, **kwargs):
-        raise AssertionError("timed a grid that cannot be fitted")
-
-    monkeypatch.setattr(bench, "time_round_robin", no_timing)
-    monkeypatch.setattr(bench, "true_sigma_max", no_timing)
-    assert run_cli("bench", "--ms", ms, "--ds", ds, "--ks", ks, "--reps", "1") == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith(f"error: cell (8, 1000, 3) has {n_adjacent} neighbors")
-    assert captured.err.count("\n") == 1
 
 
 def test_cli_worker_pool_is_clamped_to_cell_count(tmp_path, monkeypatch):
@@ -649,17 +626,46 @@ def test_cli_run_out_that_cannot_be_a_directory_exits_2_before_any_cell(tmp_path
     assert not cells and afile.read_text() == "x"
 
 
-def test_cli_bench_out_that_cannot_be_written_exits_2_before_timing(tmp_path, monkeypatch, capsys):
-    import gemproj.bench as bench
+def test_cli_gen_data_out_in_a_missing_directory_exits_2_before_sampling(tmp_path, monkeypatch, capsys):
+    import gemproj.cli as cli
 
-    def no_timing(*args, **kwargs):
-        raise AssertionError("timed before --out was checked")
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before --out was checked")
 
-    monkeypatch.setattr(bench, "time_round_robin", no_timing)
-    for out in (tmp_path / "missing" / "g.csv", tmp_path):
-        assert run_cli("bench", "--ms", "8,16", "--ds", "1000,2000", "--ks", "3", "--reps", "1",
-                       "--out", str(out)) == 2
-        assert capsys.readouterr().err == f"error: --out {out}: not a file path in an existing directory\n"
+    monkeypatch.setattr(cli, "generate_stream", no_sampling)
+    out = tmp_path / "missing" / "g.csv"
+    assert run_cli("gen-data", "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: --out {out}: not a file path in an existing directory\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def _bad_byte_in_data(path, where):
+    # the CSV is larger than one read buffer, so a bad byte in its last row is
+    # met by the row parser, not by the header read
+    assert run_cli("gen-data", "--out", str(path), "--n-per-experience", "100") == 0
+    lines = path.read_bytes().splitlines(keepends=True)
+    at = 0 if where == "first" else len(lines) - 1
+    lines[at] = b"\xff" + lines[at][1:]
+    path.write_bytes(b"".join(lines))
+    return []
+
+
+def _bad_byte_in_config(path, where):
+    path.write_bytes(b"\xff{}" if where == "first" else b'{\n  "seeds": [0],\n  "methods": ["\xff"]\n}\n')
+    return ["--methods", "naive"]
+
+
+@pytest.mark.parametrize("where", ["first", "later"])
+@pytest.mark.parametrize("flag", ["--config", "--data"])
+def test_cli_input_that_is_not_utf8_exits_2_naming_the_flag(tmp_path, capsys, flag, where):
+    path = tmp_path / "input"
+    extra = (_bad_byte_in_config if flag == "--config" else _bad_byte_in_data)(path, where)
+    capsys.readouterr()
+    out = tmp_path / "o"
+    assert run_cli("run", flag, str(path), "--out", str(out), *extra) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} {path}: not UTF-8 text") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_cli_other_cells_still_write_when_one_diverges(tmp_path, monkeypatch, capsys):
