@@ -2,15 +2,14 @@
 
 Subcommands:
   run       train a (seed x method) grid and write result documents
-  verify    run a named property suite (exit 1 on any failure)
   gen-data  sample a synthetic drift stream and dump it as CSV
 
 Flags mirror the TrainConfig and StreamSpec field names but GRID_OWNED's.
 Worker count for the run grid comes from the GEMPROJ_WORKERS environment
 variable (an integer >= 1, clamped to the number of cells).
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 a run
-diverged (its cell writes run_<method>_seed<seed>.failed.json with the
-config echo and diagnostics; the other cells still write their documents).
+Exit codes: 0 success, 2 usage error, 3 a run diverged (its cell writes
+run_<method>_seed<seed>.failed.json with the config echo and diagnostics;
+the other cells still write their documents).
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from . import verify as verify_mod
 from .datagen import StreamSpec, dump_csv, generate_stream, read_csv, split_table
 from .results import (
     build_aggregate,
@@ -35,7 +33,6 @@ from .results import (
 )
 from .trainer import NonFiniteLossError, TrainConfig, prepare_model, run_experiences
 
-VERIFY_FAILURE = 1
 USAGE_ERROR = 2
 RUN_DIVERGED = 3
 
@@ -220,16 +217,6 @@ def cmd_run(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
-    suites = list(verify_mod.SUITES) if args.suite == "all" else [args.suite]
-    any_fail = False
-    for suite in suites:
-        for result in verify_mod.run_suite(suite):
-            print(result.line())
-            any_fail |= not result.passed
-    return VERIFY_FAILURE if any_fail else 0
-
-
 def cmd_gen_data(args) -> int:
     _output_file(args.out)
     stream = generate_stream(StreamSpec(**_collect_overrides(args, StreamSpec)))
@@ -254,10 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     for cls in CONFIG_SECTIONS.values():
         _add_dataclass_args(p_run, cls, skip=GRID_OWNED[cls])
     p_run.set_defaults(fn=cmd_run)
-
-    p_verify = sub.add_parser("verify", help="run a property suite")
-    p_verify.add_argument("suite", choices=list(verify_mod.SUITES) + ["all"])
-    p_verify.set_defaults(fn=cmd_verify)
 
     p_gen = sub.add_parser("gen-data", help="dump a synthetic stream as CSV")
     p_gen.add_argument("--out", required=True, help="output CSV path")

@@ -264,6 +264,8 @@ def read_csv(path: str, n_classes: int) -> np.ndarray:
                 warnings.simplefilter("ignore", UserWarning)  # a file without data rows
                 table = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None,
                                    quotechar='"', ndmin=1)
+        except UnicodeDecodeError:
+            raise  # a ValueError too, but re-reading the file would only raise it again
         except ValueError as e:
             # float()/int() take a few cells the C parser refuses (1_0, non-ASCII
             # digits, integers past int64); those keep the parser's message

@@ -112,8 +112,9 @@ def test_backward_rejects_bad_labels_and_empty_batch():
 # --- jacobian helpers ---------------------------------------------------------------
 
 def test_backward_equals_jacobian_transpose_of_weight_gradient():
-    _, chain = gradient_errors(small_model(perturb=0.05), *small_batch(seed=4))
-    assert chain <= 1e-10
+    model = small_model(perturb=0.05)
+    worst = max(gradient_errors(model, *small_batch(seed=4 + i))[1] for i in range(20))
+    assert worst <= 1e-10
 
 
 WIDE = am.ModelConfig(input_dim=512, hidden_dim=128, n_classes=64, rank=64)
@@ -162,7 +163,7 @@ def test_jacobian_transpose_with_zero_b():
 def test_jacobian_adjoint_identity():
     model = small_model(perturb=0.05)
     rng = np.random.default_rng(8)
-    for _ in range(20):
+    for _ in range(50):
         g_full = rng.standard_normal(sum(l.W0.size for l in model.layers))
         dphi = rng.standard_normal(am.adapter_dim(model))
         lhs = g_full.dot(am.jacobian_apply(model, dphi))

@@ -297,6 +297,16 @@ def test_ingest_of_a_dumped_stream_matches_the_oracle_without_a_second_pass(tmp_
                        reference_ingest_csv(str(p), n_classes=4, seed=6))
 
 
+def test_a_row_that_is_not_utf8_raises_the_decode_error_without_a_second_pass(tmp_path, monkeypatch):
+    p = tmp_path / "dump.csv"
+    dump_csv(generate_stream(StreamSpec(seed=6, n_per_experience=500)), str(p))
+    head, last = p.read_bytes().rstrip(b"\r\n").rsplit(b"\r\n", 1)
+    p.write_bytes(head + b"\r\n\xff" + last + b"\r\n")
+    monkeypatch.setattr(datagen, "_first_bad_row", None)  # the codec error is not re-read
+    with pytest.raises(UnicodeDecodeError):
+        ingest_csv(str(p), n_classes=4)
+
+
 HEADER = "f0,f1,label,experience"
 
 

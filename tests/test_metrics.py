@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -57,13 +59,18 @@ def test_forgetting_can_be_negative():
 
 
 def test_forgetting_equals_neg_bwt_when_peak_at_own_checkpoint():
-    assert peaked_forgetting_gap(seed=0, n=50, max_tasks=6) <= 1e-12
+    assert peaked_forgetting_gap(seed=0, n=100, max_tasks=6) <= 1e-12
 
 
 def test_mpo_examples():
     assert mpo([1.0, 3.0]) == pytest.approx(2.0)
     assert mpo([0.5]) == pytest.approx(0.5)
     assert mpo([]) is None
+    durations = np.random.default_rng(414).uniform(1e-6, 1e-2, size=1000)
+    brute = math.fsum(float(d) for d in durations) / len(durations)  # exactly rounded
+    err = abs(mpo(durations) - brute) / brute
+    print(f"relative deviation from the brute-force mean {err:.1e} (tol 1e-15)")
+    assert err <= 1e-15
 
 
 def test_avg_acc_is_invariant_under_task_relabeling():
@@ -84,7 +91,7 @@ def test_accuracy_matrix_validation():
 
 def test_compute_all_uses_null_not_zero_for_absent():
     out = compute_all(matrix([[0.3], [0.6]]), [], n_classes=4)
-    assert out["avg_acc"] == pytest.approx(0.6)
+    assert out["avg_acc"] == 0.6  # the final accuracy itself
     assert out["bwt"] is None and out["fwt"] is None
     assert out["forgetting"] is None and out["mpo"] is None
 

@@ -15,7 +15,7 @@ from gemproj.projector import (
     pgd_project,
     violation_check,
 )
-from gemproj.verify import kkt_residuals
+from gemproj.verify import kkt_residuals, random_instance
 
 
 def cm(rows):
@@ -115,6 +115,22 @@ def test_pgd_result_is_reconstructible():
     assert res.max_violation >= 0.0
 
 
+def test_feasible_input_is_returned_unchanged_by_pgd_and_the_oracle():
+    # PGD skips a feasible gradient bit for bit; the oracle may round
+    rng = np.random.default_rng(101)
+    worst = 0.0
+    for _ in range(200):
+        G, g = random_instance(rng)
+        A = G.data.copy()
+        A[A @ g < 0] *= -1.0  # flip rows so G g >= 0 (unit norms preserved)
+        G = ConstraintMatrix(A)
+        res = pgd_project(g, G, DualState.cold(G.rows), eta=0.5, K=5)
+        np.testing.assert_array_equal(res.projected_gradient, g)
+        worst = max(worst, float(np.linalg.norm(exact_qp_project(g, G).projected_gradient - g)))
+    print(f"oracle moved a feasible gradient by at most {worst:.2e} (tol 1e-12)")
+    assert worst <= 1e-12
+
+
 def test_pgd_warm_start_continues_from_given_lambda():
     G = cm([[1, 0]])
     g = np.array([-1.0, 0.0])
@@ -174,6 +190,23 @@ def test_exact_kkt_conditions():
         assert nonneg <= 1e-10
         assert feasibility <= 1e-9
         assert complementarity <= 1e-8
+
+
+@pytest.mark.parametrize("seed,transform", [
+    (404, lambda rng, A: np.vstack([A, A[0]])),
+    (505, lambda rng, A: A * rng.uniform(0.2, 5.0, size=A.shape[0])[:, None]),
+], ids=["duplicate_row", "positive_row_scaling"])
+def test_exact_projection_depends_only_on_the_cone(seed, transform):
+    # duplicating a row or rescaling rows by positive factors leaves the
+    # feasible cone, hence the primal solution, where it was
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(100):
+        G, g = random_instance(rng)
+        moved = exact_qp_project(g, ConstraintMatrix(transform(rng, G.data))).projected_gradient
+        worst = max(worst, float(np.linalg.norm(exact_qp_project(g, G).projected_gradient - moved)))
+    print(f"worst primal shift {worst:.2e} (tol 1e-9)")
+    assert worst <= 1e-9
 
 
 def test_exact_capacity_error_directs_to_pgd():
@@ -287,6 +320,17 @@ def test_agem_matches_exact_single_constraint():
     want = exact_qp_project([-1, 0], cm([[1, 0]])).projected_gradient
     np.testing.assert_allclose(got, want, atol=1e-10)
     np.testing.assert_allclose(got, [0.0, 0.0], atol=1e-15)
+    # normalized or not: the scale of the row does not move the cone
+    rng = np.random.default_rng(303)
+    worst = 0.0
+    for _ in range(200):
+        d = int(rng.integers(2, 65))
+        row = rng.standard_normal(d) * rng.uniform(0.1, 10.0)
+        g = rng.standard_normal(d)
+        want = exact_qp_project(g, cm(row[None, :])).projected_gradient
+        worst = max(worst, float(np.linalg.norm(agem_project(g, row) - want)))
+    print(f"worst deviation from the exact m=1 projection {worst:.2e} (tol 1e-10)")
+    assert worst <= 1e-10
 
 
 def test_agem_zero_reference_and_result_certificate():

@@ -3,6 +3,7 @@ import pytest
 
 from gemproj.projector import ConstraintMatrix
 from gemproj.spectral import power_iteration, stepsize
+from gemproj.verify import descent_increase, random_instance, true_sigma_max
 
 
 def test_identity_matrix_gives_one_in_a_single_step():
@@ -22,19 +23,37 @@ def test_empty_matrix_reports_zero():
     assert power_iteration(ConstraintMatrix.empty(8)) == 0.0
 
 
-def test_rayleigh_never_exceeds_truth_and_is_monotone_in_iters():
+def _rayleigh_instances():
+    """(G, start-vector seed): 50 unnormalized matrices, then 200 with
+    unit rows over the projector's full (m, d) range."""
     rng = np.random.default_rng(13)
     for _ in range(50):
         m = int(rng.integers(1, 7))
         d = int(rng.integers(2, 40))
-        G = ConstraintMatrix(rng.standard_normal((m, d)))
-        truth = np.linalg.eigvalsh(G.data @ G.data.T)[-1]
+        yield ConstraintMatrix(rng.standard_normal((m, d))), 3
+    rng = np.random.default_rng(909)
+    for i in range(200):
+        yield random_instance(rng, min_ratio=0)[0], i
+
+
+def test_rayleigh_never_exceeds_truth_and_is_monotone_in_iters():
+    for G, seed in _rayleigh_instances():
+        truth = true_sigma_max(G)
         prev = 0.0
-        for iters in (1, 2, 4, 8):
-            sigma = power_iteration(G, iters=iters, seed=3)
+        for iters in (1, 2, 3, 4, 5, 8, 10):
+            sigma = power_iteration(G, iters=iters, seed=seed)
             assert sigma <= truth + 1e-9
             assert sigma >= prev - 1e-12
             prev = sigma
+
+
+def test_estimated_stepsize_keeps_the_dual_descent_monotone():
+    # c = 0.9 on a 3-iteration estimate: descent holds even though the
+    # Rayleigh quotient may undershoot the true constant
+    increases = descent_increase(808, 200, 40, stepsize_of=lambda i, G: stepsize(
+        power_iteration(G, iters=3, seed=i), c=0.9))
+    print(f"worst per-iteration increase {increases.max():.2e} (slack 1e-12)")
+    assert increases.max() <= 1e-12
 
 
 def test_power_iteration_rejects_zero_iters():

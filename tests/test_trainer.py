@@ -121,6 +121,19 @@ def test_first_task_matches_naive_bit_for_bit():
     np.testing.assert_array_equal(phis[0], phis[1])
 
 
+def test_training_steps_leave_the_base_weights_bit_exact():
+    cfg = TrainConfig(method="igem", seed=3, n_experiences=2, patterns_per_exp=20, memory_size=40)
+    model = am.build_model(am.ModelConfig(), seed=3)
+    w_before = [layer.W0.tobytes() for layer in model.layers]
+    state = make_state(cfg, model)
+    rng = np.random.default_rng(12)
+    for task in range(2):
+        start_task(state, task)
+        for _ in range(5):
+            train_step(state, rng.standard_normal((8, 32)), rng.integers(0, 4, size=8))
+    assert [layer.W0.tobytes() for layer in model.layers] == w_before
+
+
 def test_large_budget_igem_step_matches_exact_step():
     # one step from the same snapshot with sgd: high-K PGD converges to the QP point
     results = {}
