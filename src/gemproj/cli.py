@@ -4,22 +4,25 @@ Subcommands:
   run       train a (seed x method) grid and write result documents
   gen-data  sample a synthetic drift stream and dump it as CSV
 
-Flags mirror the TrainConfig and StreamSpec field names but GRID_OWNED's.
+Flags mirror the TrainConfig and StreamSpec field names but GRID_OWNED's,
+and are the only way to give a setting.
 Worker count for the run grid comes from the GEMPROJ_WORKERS environment
 variable (an integer >= 1, clamped to the number of cells).
 Exit codes: 0 success, 2 usage error, 3 a run diverged (its cell writes
 run_<method>_seed<seed>.failed.json with the config echo and diagnostics;
-the other cells still write their documents).
+the other cells still write their documents), 4 a grid worker was lost
+(each cell left without a result writes a .failed.json naming the loss;
+4 wins when a run also diverged).  Code 1 is retired.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 
@@ -35,18 +38,16 @@ from .trainer import NonFiniteLossError, TrainConfig, prepare_model, run_experie
 
 USAGE_ERROR = 2
 RUN_DIVERGED = 3
+WORKER_LOST = 4
 
 
 class CliError(Exception):
-    """Usage-level error (bad config, missing file); exits with code 2."""
+    """Usage-level error (bad flag value, missing file); exits with code 2."""
 
 
-# The fields `run` sets per grid cell, each with where its value comes from;
-# they get no `run` flag and a config file's train/stream section may not name them.
-_SEEDS = "--seeds or the 'seeds' list"
-GRID_OWNED = {TrainConfig: {"method": "--methods or the 'methods' list", "seed": _SEEDS},
-              StreamSpec: {"seed": _SEEDS, "n_experiences": "--n-experiences or train.n_experiences"}}
-CONFIG_SECTIONS = {"train": TrainConfig, "stream": StreamSpec}
+# The fields `run` sets per grid cell, from --methods, --seeds and
+# --n-experiences; they get no `run` flag of their own.
+GRID_OWNED = {TrainConfig: {"method", "seed"}, StreamSpec: {"seed", "n_experiences"}}
 
 
 def _add_dataclass_args(parser, cls, skip=()):
@@ -75,55 +76,20 @@ def _ints(name: str, text: str, minimum: int, many: bool = True) -> list[int]:
     return values
 
 
-def _input_file(flag: str, path: str):
-    if not os.path.isfile(path):
-        raise CliError(f"{flag} {path}: not an existing file")
-
-
 def _output_file(path: str):
     if os.path.isdir(path) or not os.path.isdir(os.path.dirname(os.path.abspath(path))):
         raise CliError(f"--out {path}: not a file path in an existing directory")
-
-
-def _not_utf8(flag: str, path: str, e: UnicodeDecodeError) -> str:
-    return f"{flag} {path}: not UTF-8 text (byte 0x{e.object[e.start]:02x}: {e.reason})"
-
-
-def _load_config_file(path: str) -> dict:
-    _input_file("--config", path)
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise CliError(f"{path}:{e.lineno}:{e.colno}: invalid JSON: {e.msg}") from None
-        except UnicodeDecodeError as e:
-            raise CliError(_not_utf8("--config", path, e)) from None
-    if not isinstance(doc, dict):
-        raise CliError(f"{path}: top level must be a JSON object")
-    sections = {"train": dict, "stream": dict, "methods": list, "seeds": list}
-    for key, value in doc.items():
-        if key not in sections:
-            raise CliError(f"{path}: unknown config section {key!r}")
-        if not isinstance(value, sections[key]):
-            kind = "an object" if sections[key] is dict else "a list"
-            raise CliError(f"{path}: section {key!r} must be {kind}, got {value!r}")
-    for section, cls in CONFIG_SECTIONS.items():
-        for name in doc.get(section, {}):
-            if name in GRID_OWNED[cls]:
-                raise CliError(f"{path}: {section}.{name} is set per grid cell;"
-                               f" give it through {GRID_OWNED[cls][name]}")
-    return doc
 
 
 def _build_cell(train: dict, stream: dict, method: str, seed: int) -> tuple[TrainConfig, StreamSpec]:
     """One grid cell's config and stream spec, both range-checked."""
     try:
         config = TrainConfig(**{**train, "method": method, "seed": seed})
-    except (TypeError, ValueError) as e:
+    except ValueError as e:
         raise CliError(f"invalid train config: {e}") from None
     try:
         spec = StreamSpec(**{**stream, "seed": seed, "n_experiences": config.n_experiences})
-    except (TypeError, ValueError) as e:
+    except ValueError as e:
         raise CliError(f"invalid stream config: {e}") from None
     return config, spec
 
@@ -134,7 +100,8 @@ def _read_data(path: str, config: TrainConfig, spec: StreamSpec) -> np.ndarray:
     try:
         table = read_csv(path, n_classes=spec.n_classes)
     except UnicodeDecodeError as e:
-        raise CliError(_not_utf8("--data", path, e)) from None
+        raise CliError(f"--data {path}: not UTF-8 text"
+                       f" (byte 0x{e.object[e.start]:02x}: {e.reason})") from None
     dim = table.dtype["x"].shape[0]
     if dim != spec.feature_dim:
         raise CliError(f"{path}: input has dim {dim}, expected feature_dim {spec.feature_dim}"
@@ -157,23 +124,36 @@ def execute_run(config: TrainConfig, spec: StreamSpec, table: np.ndarray | None)
     try:
         matrix, log = run_experiences(config, stream, model)
     except NonFiniteLossError as e:
-        return build_run_failure(config, spec, e), None
+        return build_run_failure(config, spec, str(e), e.diagnostics), None
     return build_run_result(config, spec, matrix, log), log
 
 
-def cmd_run(args) -> int:
-    file_cfg = _load_config_file(args.config) if args.config else {}
-    train_base, stream_base = (
-        {**file_cfg.get(section, {}), **_collect_overrides(args, cls, skip=GRID_OWNED[cls])}
-        for section, cls in CONFIG_SECTIONS.items())
-    methods = file_cfg.get("methods", ["igem"]) if args.methods is None else args.methods.split(",")
-    seeds = file_cfg.get("seeds", [0]) if args.seeds is None else _ints("--seeds", args.seeds, 0)
+def _outputs(cells, table, workers: int):
+    """Each cell's ``execute_run`` output in grid order, as it becomes
+    available.  On a pool that lost a worker, each cell left without a
+    result (its worker died, or it never ran) yields the BrokenProcessPool."""
+    if workers == 1:
+        yield from (execute_run(cfg, spec, table) for cfg, spec in cells)
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(execute_run, cfg, spec, table) for cfg, spec in cells]
+        for future in futures:
+            try:
+                output = future.result()
+            except BrokenProcessPool as e:
+                output = e
+            yield output
 
-    if args.data is not None:
-        _input_file("--data", args.data)
+
+def cmd_run(args) -> int:
+    train_base, stream_base = (_collect_overrides(args, cls, skip=GRID_OWNED[cls])
+                               for cls in (TrainConfig, StreamSpec))
+    methods = args.methods.split(",")
+    seeds = _ints("--seeds", args.seeds, 0)
+
+    if args.data is not None and not os.path.isfile(args.data):
+        raise CliError(f"--data {args.data}: not an existing file")
     for name, values in (("method", methods), ("seed", seeds)):
-        if not values:
-            raise CliError(f"the grid has no {name}: its {name}s list is empty")
         repeated = [v for i, v in enumerate(values) if v in values[:i]]
         if repeated:
             raise CliError(f"{name} {repeated[0]!r} appears more than once in the grid")
@@ -190,31 +170,28 @@ def cmd_run(args) -> int:
     except OSError as e:
         raise CliError(f"--out {out_dir}: cannot make the output directory: {e.strerror}") from None
 
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outputs = list(pool.map(execute_run, *zip(*cells), [table] * len(cells)))
-    else:
-        outputs = [execute_run(cfg, spec, table) for cfg, spec in cells]
-
     per_method: dict[str, list[dict]] = {}
-    diverged = []
-    for (cfg, _), (doc, log) in zip(cells, outputs):
+    failures, code = [], 0
+    for (cfg, spec), output in zip(cells, _outputs(cells, table, workers)):
         stem = f"run_{cfg.method}_seed{cfg.seed}"
+        lost = isinstance(output, BrokenProcessPool)
+        doc, log = (build_run_failure(cfg, spec, f"grid worker lost: {output}"), None) if lost else output
         if log is None:
             path = os.path.join(out_dir, stem + ".failed.json")
             write_json(path, doc)
             print(f"wrote {stem}.failed.json  {doc['error']}")
-            diverged.append(f"{stem} diverged: {doc['error']} (see {path})")
+            failures.append(f"{stem}{'' if lost else ' diverged'}: {doc['error']} (see {path})")
+            code = max(code, WORKER_LOST if lost else RUN_DIVERGED)
             continue
         write_json(os.path.join(out_dir, stem + ".json"), doc)
         write_curves_csv(os.path.join(out_dir, stem + "_curves.csv"), log)
         per_method.setdefault(cfg.method, []).append(doc)
         print(f"wrote {stem}.json  avg_acc={doc['metrics']['avg_acc']:.4f}")
     write_json(os.path.join(out_dir, "aggregate.json"), build_aggregate(per_method))
-    print(f"wrote aggregate.json ({len(cells) - len(diverged)} runs)")
-    if diverged:
-        raise NonFiniteLossError("; ".join(diverged))
-    return 0
+    print(f"wrote aggregate.json ({len(cells) - len(failures)} runs)")
+    if failures:
+        print("error: " + "; ".join(failures), file=sys.stderr)
+    return code
 
 
 def cmd_gen_data(args) -> int:
@@ -232,13 +209,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="train a (seed x method) grid")
-    p_run.add_argument("--config", help="JSON config file (sections: train, stream, methods, seeds)")
-    p_run.add_argument("--method", "--methods", dest="methods",
+    p_run.add_argument("--method", "--methods", dest="methods", default="igem",
                        help="comma list from naive,gem_exact,agem,igem")
-    p_run.add_argument("--seeds", help="comma list of integer seeds")
+    p_run.add_argument("--seeds", default="0", help="comma list of integer seeds")
     p_run.add_argument("--out", default="results", help="output directory")
     p_run.add_argument("--data", help="external dataset CSV (default: synthetic stream)")
-    for cls in CONFIG_SECTIONS.values():
+    for cls in (TrainConfig, StreamSpec):
         _add_dataclass_args(p_run, cls, skip=GRID_OWNED[cls])
     p_run.set_defaults(fn=cmd_run)
 
@@ -254,6 +230,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (CliError, ValueError, FileNotFoundError, NonFiniteLossError) as e:
+    except (CliError, ValueError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return RUN_DIVERGED if isinstance(e, NonFiniteLossError) else USAGE_ERROR
+        return USAGE_ERROR

@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .datagen import StreamSpec
 from .metrics import AccuracyMatrix, aggregate, compute_all
-from .trainer import NonFiniteLossError, RunLog, StepRecord, TrainConfig
+from .trainer import RunLog, StepRecord, TrainConfig
 
 SCHEMA_VERSION = "8"
 
@@ -68,13 +68,13 @@ def build_run_result(
     }
 
 
-def build_run_failure(config: TrainConfig, spec: StreamSpec, error: NonFiniteLossError) -> dict:
-    """Document for a run that diverged: the config echo, the error and its
-    diagnostic records."""
+def build_run_failure(config: TrainConfig, spec: StreamSpec, error: str, diagnostics=()) -> dict:
+    """Document for a run that diverged or lost its grid worker: the config
+    echo, the error and its diagnostic records."""
     return {
         **_run_header("run_failure", config, spec),
-        "error": str(error),
-        "diagnostics": error.diagnostics,
+        "error": error,
+        "diagnostics": list(diagnostics),
     }
 
 

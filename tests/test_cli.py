@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 import warnings
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -188,48 +189,23 @@ def test_cli_rerun_from_echoed_config_reproduces_matrix(tmp_path):
     np.testing.assert_array_equal(matrix.R, np.array(doc["accuracy_matrix"]))
 
 
-def test_cli_run_invalid_config_names_field(tmp_path, capsys):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"train": {"methodz": "igem"}}))
-    code = run_cli("run", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
-    err = capsys.readouterr().err
-    assert code == 2
-    assert "methodz" in err
-
-
+# fields that a schema bump removed, each with a value it took, and the
+# config file that once gave the same settings as the flags
 REMOVED_FIELDS = [
-    ("train", "train_epochs", 2), ("train", "power_iters", 30), ("train", "skip_when_feasible", True),
-    ("train", "violation_tol", 0.1), ("train", "eval_every", 3), ("train", "memory_strength", 0.3),
-    ("train", "dump_buffers", True), ("train", "adamw_beta1", 0.9), ("train", "adamw_beta2", 0.999),
-    ("train", "adamw_eps", 1e-8), ("train", "weight_decay", 0.0), ("stream", "noise_scale", 1.0),
+    ("train_epochs", 2), ("power_iters", 30), ("skip_when_feasible", True), ("violation_tol", 0.1),
+    ("eval_every", 3), ("memory_strength", 0.3), ("dump_buffers", True), ("adamw_beta1", 0.9),
+    ("adamw_beta2", 0.999), ("adamw_eps", 1e-8), ("weight_decay", 0.0), ("noise_scale", 1.0),
+    ("config", "x.json"),
 ]
 
 
-@pytest.mark.parametrize("section,field,value", REMOVED_FIELDS,
-                         ids=[f"{field}-{value}" for _, field, value in REMOVED_FIELDS])
-def test_cli_config_with_a_removed_field_exits_2_before_writing(tmp_path, capsys, section, field, value):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({section: {field: value}}))
-    out = tmp_path / "o"
-    assert run_cli("run", "--config", str(cfg_path), "--out", str(out)) == 2
-    assert field in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("config", [
-    {"seeds": 0}, {"train": [1]}, {"stream": {"bogus": 1}}, {"stream": {"n_classes": "4"}},
-    {"methods": "igem"}, {"seeds": [1.5]}, {"seeds": []}, {"methods": []},
-    # JSON true is not a number, though Python's bool is an int
-    {"seeds": [True]}, {"train": {"pgd_iterations": True}}, {"train": {"lr": True}},
-])
-def test_cli_malformed_config_file_exits_2_before_writing(tmp_path, capsys, config):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(config))
-    out = tmp_path / "o"
-    assert run_cli("run", "--config", str(cfg_path), "--out", str(out)) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "Traceback" not in err
+@pytest.mark.parametrize("field,value", REMOVED_FIELDS, ids=[f"{field}-{value}" for field, value in REMOVED_FIELDS])
+def test_cli_config_with_a_removed_field_exits_2_before_writing(tmp_path, capsys, field, value):
+    flag, out = "--" + field.replace("_", "-"), tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("run", flag, str(value), "--out", str(out))
+    assert exc.value.code == 2
+    assert f"error: unrecognized arguments: {flag} {value}\n" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -275,26 +251,22 @@ def record_cells(monkeypatch):
 
 @pytest.mark.parametrize("section,field", SECTION_FIELDS,
                          ids=[f"{section}.{f.name}" for section, f in SECTION_FIELDS])
-def test_every_setting_is_a_run_flag_and_config_key_or_grid_owned(tmp_path, monkeypatch, capsys,
-                                                                 section, field):
+def test_every_setting_is_a_run_flag_and_config_key_or_grid_owned(tmp_path, monkeypatch, section, field):
     cells = record_cells(monkeypatch)
-    cfg_path = tmp_path / "cfg.json"
     if (section, field.name) in GRID_OWNED:
-        cfg_path.write_text(json.dumps({section: {field.name: field.default}}))
-        out = tmp_path / "o"
-        assert run_cli("run", "--config", str(cfg_path), "--out", str(out)) == 2
-        assert f"{section}.{field.name} is set per grid cell" in capsys.readouterr().err
-        assert not out.exists() and not cells
+        # no flag of its own: the grid sets it per cell
+        assert run_cli("run", "--methods", "naive,agem", "--seeds", "3", "--n-experiences", "2",
+                       "--out", str(tmp_path / "o")) == 3
+        want = {"method": {"naive", "agem"}, "seed": {3}, "n_experiences": {2}}[field.name]
+        assert {getattr(config if section == "train" else spec, field.name) for config, spec in cells} == want
         return
     # a valid value other than the default, so the cell shows where it came from
     other = {"int": lambda v: v + 1, "float": lambda v: v / 2, "str": {"sgd": "adamw"}.get}
     value = other[field.type](field.default)
-    cfg_path.write_text(json.dumps({section: {field.name: value}}))
     flag = "--" + field.name.replace("_", "-")
-    for source in (["--config", str(cfg_path)], [flag, str(value)]):
-        assert run_cli("run", "--methods", "naive", "--out", str(tmp_path / "o"), *source) == 3
-        config, spec = cells.pop()
-        assert getattr(config if section == "train" else spec, field.name) == value
+    assert run_cli("run", "--methods", "naive", "--out", str(tmp_path / "o"), flag, str(value)) == 3
+    [(config, spec)] = cells
+    assert getattr(config if section == "train" else spec, field.name) == value
 
 
 @pytest.mark.parametrize("flag", ["--methods", "--seeds"])
@@ -317,22 +289,14 @@ def test_python_dash_m_gemproj_runs_the_cli(tmp_path):
     assert out.read_text().count("\n") == 61
 
 
-def test_cli_run_bad_json_reports_line(tmp_path, capsys):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text('{\n  "train": {,}\n}')
-    code = run_cli("run", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
-    err = capsys.readouterr().err
-    assert code == 2 and "cfg.json:2" in err
-
-
 def test_cli_run_missing_dataset_names_path(tmp_path, capsys):
     code = run_cli("run", "--data", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "o"))
     err = capsys.readouterr().err
     assert code == 2 and "nope.csv" in err
 
 
-@pytest.mark.parametrize("argv", [["run", "--config"], ["run", "--data"], ["gen-data", "--out"]],
-                         ids=["run-config", "run-data", "gen-data-out"])
+@pytest.mark.parametrize("argv", [["run", "--data"], ["gen-data", "--out"]],
+                         ids=["run-data", "gen-data-out"])
 def test_cli_directory_where_a_file_belongs_exits_2(tmp_path, capsys, argv):
     out = tmp_path / "o"
     assert run_cli(*argv, str(tmp_path), *(["--out", str(out)] if argv[0] == "run" else [])) == 2
@@ -372,13 +336,11 @@ def _gen_csv(tmp_path, *flags):
 
 def test_cli_run_empty_seed_list_with_csv_exits_2_before_writing(tmp_path, capsys):
     data = _gen_csv(tmp_path, "--feature-dim", "8")
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"seeds": []}))
     out = tmp_path / "o"
-    assert run_cli("run", "--config", str(cfg_path), "--data", str(data), "--out", str(out),
+    assert run_cli("run", "--seeds", "", "--data", str(data), "--out", str(out),
                    "--feature-dim", "8") == 2
     err = capsys.readouterr().err
-    assert err == "error: the grid has no seed: its seeds list is empty\n"
+    assert err == "error: --seeds must be a comma list of integers >= 0, got ''\n"
     assert not out.exists()
 
 
@@ -476,6 +438,12 @@ def test_readme_docstring_and_parser_name_the_same_subcommands():
     [sub] = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     assert "run" in in_readme
     assert in_readme == in_docstring == set(sub.choices)
+    # every flag a README command line shows is one its subcommand accepts, spelled out
+    for line in block.splitlines():
+        if (match := re.search(r"\bgemproj ([a-z][a-z-]*)(.*)", line)):
+            command, rest = match.groups()
+            for flag in re.findall(r"--[a-z][a-z0-9-]*", rest):
+                assert flag in sub.choices[command]._option_string_actions, line
 
 
 def test_cli_unknown_subcommand_is_usage_error(capsys):
@@ -523,8 +491,10 @@ def test_cli_worker_pool_is_clamped_to_cell_count(tmp_path, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setenv("GEMPROJ_WORKERS", "64")
@@ -645,22 +615,16 @@ def _bad_byte_in_data(path, where):
     at = 0 if where == "first" else len(lines) - 1
     lines[at] = b"\xff" + lines[at][1:]
     path.write_bytes(b"".join(lines))
-    return []
-
-
-def _bad_byte_in_config(path, where):
-    path.write_bytes(b"\xff{}" if where == "first" else b'{\n  "seeds": [0],\n  "methods": ["\xff"]\n}\n')
-    return ["--methods", "naive"]
 
 
 @pytest.mark.parametrize("where", ["first", "later"])
-@pytest.mark.parametrize("flag", ["--config", "--data"])
+@pytest.mark.parametrize("flag", ["--data"])
 def test_cli_input_that_is_not_utf8_exits_2_naming_the_flag(tmp_path, capsys, flag, where):
     path = tmp_path / "input"
-    extra = (_bad_byte_in_config if flag == "--config" else _bad_byte_in_data)(path, where)
+    _bad_byte_in_data(path, where)
     capsys.readouterr()
     out = tmp_path / "o"
-    assert run_cli("run", flag, str(path), "--out", str(out), *extra) == 2
+    assert run_cli("run", flag, str(path), "--out", str(out)) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {flag} {path}: not UTF-8 text") and err.count("\n") == 1
     assert not out.exists()
@@ -689,3 +653,35 @@ def test_cli_other_cells_still_write_when_one_diverges(tmp_path, monkeypatch, ca
         (5, "non-finite parameter update")]
     agg = json.loads((out / "aggregate.json").read_text())
     assert set(agg["methods"]) == {"naive"}
+
+
+def test_cli_lost_grid_worker_exits_4_and_accounts_for_every_cell(tmp_path):
+    # agem's worker dies; whether naive finishes first depends on timing
+    script = """if True:
+        import os, sys
+        import gemproj.cli as cli
+        real = cli.run_experiences
+        def dies_on_agem(config, stream, model):
+            if config.method == "agem":
+                os._exit(9)
+            return real(config, stream, model)
+        cli.run_experiences = dies_on_agem
+        sys.exit(cli.main(sys.argv[1:]))
+    """
+    out = tmp_path / "o"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "GEMPROJ_WORKERS": "2"}
+    proc = subprocess.run([sys.executable, "-c", script, "run", "--methods", "naive,agem", "--seeds", "0",
+                           "--out", str(out), "--n-per-experience", "200", "--feature-dim", "8"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    finished = set()
+    for method in ("naive", "agem"):
+        done, failed = (out / f"run_{method}_seed0{ext}" for ext in (".json", ".failed.json"))
+        assert done.exists() != failed.exists()
+        if done.exists():
+            finished.add((method, 0))
+    failure = json.loads((out / "run_agem_seed0.failed.json").read_text())
+    assert failure["kind"] == "run_failure" and failure["error"].startswith("grid worker lost: ")
+    agg = json.loads((out / "aggregate.json").read_text())
+    assert {(m, seed) for m, block in agg["methods"].items() for seed in block["seeds"]} == finished

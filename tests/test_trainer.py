@@ -73,6 +73,12 @@ def test_config_validation():
         TrainConfig(method="igem", pgd_iterations=0)
     with pytest.raises(TypeError, match="methodd"):
         TrainConfig(**{"methodd": "igem"})
+    # a bool is not a number here, though Python's bool is an int; nor is text
+    for field, value in (("pgd_iterations", True), ("lr", True)):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+    with pytest.raises(ValueError, match="n_classes"):
+        StreamSpec(n_classes="4")
 
 
 def test_config_round_trips_through_dict():
