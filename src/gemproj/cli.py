@@ -204,11 +204,11 @@ def cmd_gen_data(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="gemproj", description=__doc__,
+    parser = argparse.ArgumentParser(prog="gemproj", description=__doc__, allow_abbrev=False,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="train a (seed x method) grid")
+    p_run = sub.add_parser("run", help="train a (seed x method) grid", allow_abbrev=False)
     p_run.add_argument("--method", "--methods", dest="methods", default="igem",
                        help="comma list from naive,gem_exact,agem,igem")
     p_run.add_argument("--seeds", default="0", help="comma list of integer seeds")
@@ -218,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_dataclass_args(p_run, cls, skip=GRID_OWNED[cls])
     p_run.set_defaults(fn=cmd_run)
 
-    p_gen = sub.add_parser("gen-data", help="dump a synthetic stream as CSV")
+    p_gen = sub.add_parser("gen-data", help="dump a synthetic stream as CSV", allow_abbrev=False)
     p_gen.add_argument("--out", required=True, help="output CSV path")
     _add_dataclass_args(p_gen, StreamSpec)
     p_gen.set_defaults(fn=cmd_gen_data)

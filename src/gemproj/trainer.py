@@ -1,10 +1,10 @@
 """Training harness: per-step projection loop and multi-task experience loop.
 
 One training step = backprop on the current minibatch, rebuild of the
-constraint matrix from replay buffers for projecting methods (naive
-never reads it), projection of the raw adapter gradient by the
-configured method, optimizer step on phi, buffer update
-for the current task, and warm-start carryover of the dual multipliers.
+constraint matrix from replay buffers, projection of the raw adapter
+gradient by the configured method, optimizer step on phi, buffer update
+for the current task (only the methods that replay the memory keep one;
+naive keeps none), and warm-start carryover of the dual multipliers.
 The projection always applies to the raw gradient, before any optimizer
 preconditioning; with adamw the non-interference certificate therefore
 holds pre-preconditioning only.
@@ -221,7 +221,8 @@ def _diverged(state: TrainerState, loss: float, reason: str) -> NonFiniteLossErr
 
 def train_step(state: TrainerState, X, y) -> StepRecord:
     """One step of the training loop (loss, constraint build, projection,
-    optimizer update, buffer update, warm-start carryover).  The effective
+    optimizer update, buffer update, warm-start carryover); only the methods
+    that replay the memory insert the batch, so naive keeps none.  The effective
     weights are formed once and shared by every backward pass of the step.
     ``proj_time`` times the method's projection alone, igem's sigma_hat included."""
     cfg = state.config
@@ -231,8 +232,6 @@ def train_step(state: TrainerState, X, y) -> StepRecord:
         raise _diverged(state, loss, "non-finite loss or gradient")
 
     past = [t for t in state.buffers.tasks() if t < state.task_index]
-    projecting = bool(past) and cfg.method != "naive"
-
     g_tilde = g
     result = None
     projected = False
@@ -240,7 +239,7 @@ def train_step(state: TrainerState, X, y) -> StepRecord:
     lambda_norm = 0.0
     max_violation = 0.0
     violation_before = 0.0
-    if projecting:
+    if past:
         G = build_constraint_matrix(state.buffers, state.model, past, weights=weights)
         worst = violation_check(g, G)[1]
         violation_before = max(0.0, -worst) if np.isfinite(worst) else 0.0
@@ -281,7 +280,8 @@ def train_step(state: TrainerState, X, y) -> StepRecord:
         raise _diverged(state, loss, str(e)) from None
     am.set_adapter_params(state.model, new_phi)
 
-    state.buffers.insert(state.task_index, X, y)
+    if cfg.method != "naive":
+        state.buffers.insert(state.task_index, X, y)
 
     rec = StepRecord(
         task=state.task_index,

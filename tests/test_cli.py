@@ -403,6 +403,20 @@ def test_cli_method_flag_singular_alias(tmp_path):
     assert (out / "run_naive_seed0.json").exists()
 
 
+# prefixes of live flags: argparse's allow_abbrev would take each as that flag
+ABBREVIATED_FLAGS = [("--seed", "5"), ("--n-exp", "2"), ("--memory", "7")]
+
+
+@pytest.mark.parametrize("flag,value", ABBREVIATED_FLAGS, ids=[flag for flag, _ in ABBREVIATED_FLAGS])
+def test_cli_abbreviated_flag_exits_2_before_writing(tmp_path, capsys, flag, value):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("run", flag, value, "--out", str(out))
+    assert exc.value.code == 2
+    assert f"error: unrecognized arguments: {flag} {value}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_gen_data_round_trips(tmp_path):
     path = tmp_path / "stream.csv"
     assert run_cli("gen-data", "--out", str(path), "--n-per-experience", "50",

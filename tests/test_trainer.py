@@ -450,3 +450,41 @@ def test_eval_mb_size_sizes_only_the_agem_reference_batch():
         assert _step_fields(log_a) == _step_fields(log_b), method
     (_, log_a), (_, log_b) = (small_run("agem", eval_mb_size=k) for k in (7, 50))
     assert _step_fields(log_a) != _step_fields(log_b)
+
+
+# --- replay memory: kept only by the methods that replay it ---------------------
+
+def test_naive_run_never_inserts_into_the_memory(monkeypatch):
+    states, make = [], trainer.make_state
+
+    def recording_make(*args, **kwargs):
+        states.append(make(*args, **kwargs))
+        return states[-1]
+
+    def refusing_insert(*args, **kwargs):
+        raise AssertionError("naive inserted a batch into the replay memory")
+
+    monkeypatch.setattr(trainer, "make_state", recording_make)
+    monkeypatch.setattr(trainer.ReplayBuffer, "insert", refusing_insert)
+    _, log = small_run("naive")
+    assert len(log.steps) > 0 and not any(r.projected for r in log.steps)
+    assert states[0].buffers.tasks() == []
+
+
+@pytest.mark.parametrize("method", ["agem", "igem", "gem_exact"])
+def test_replaying_methods_insert_once_per_step(method, monkeypatch):
+    insert, calls = trainer.ReplayBuffer.insert, []
+
+    def counting_insert(self, *args, **kwargs):
+        calls.append(args[0])
+        return insert(self, *args, **kwargs)
+
+    monkeypatch.setattr(trainer.ReplayBuffer, "insert", counting_insert)
+    _, log = small_run(method)
+    assert calls == [r.task for r in log.steps]
+
+
+def test_memory_settings_cannot_move_naive():
+    (a, log_a), (b, log_b) = small_run("naive", memory_size=1, patterns_per_exp=1), small_run("naive")
+    assert a.R.tobytes() == b.R.tobytes()
+    assert _step_fields(log_a) == _step_fields(log_b)
