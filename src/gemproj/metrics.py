@@ -24,7 +24,7 @@ class AccuracyMatrix:
         self.R = np.asarray(self.R, dtype=np.float64)
         if self.R.ndim != 2 or self.R.shape[0] != self.R.shape[1] + 1:
             raise ValueError(f"R must have shape (T+1, T), got {self.R.shape}")
-        if np.any(self.R < 0.0) or np.any(self.R > 1.0):
+        if not np.all((self.R >= 0.0) & (self.R <= 1.0)):
             raise ValueError("accuracies must lie in [0, 1]")
 
     @property

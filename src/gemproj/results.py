@@ -28,14 +28,23 @@ from .trainer import RunLog, StepRecord, TrainConfig
 
 SCHEMA_VERSION = "8"
 
+# The BLAS threading settings, read once when numpy loads; they can change
+# the bits of a long dot product, so a run document names them.
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+               "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+
 
 def environment_fingerprint() -> dict:
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     return {
         "package_version": __version__,
         "python": platform.python_version(),
         "numpy": np.__version__,
         "precision": "float64",
         "perf_counter_resolution_s": time.get_clock_info("perf_counter").resolution,
+        "blas": {k: blas.get(k) for k in ("name", "version")},
+        "blas_threads_env": {v: os.environ.get(v, "default") for v in THREAD_VARS},
+        "nproc": os.cpu_count(),
     }
 
 

@@ -12,6 +12,7 @@ holds pre-preconditioning only.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -53,7 +54,7 @@ SPECTRAL_REUSE = 10
 # (fields, rule, check) for every numeric TrainConfig field; each check
 # fails on NaN as well
 _RANGES = (
-    (("lr",), "> 0", lambda v: v > 0),
+    (("lr",), "> 0 and finite", lambda v: 0 < v < math.inf),
     (("pgd_iterations", "train_mb_size", "eval_mb_size", "n_experiences",
       "patterns_per_exp", "memory_size"), ">= 1", lambda v: v >= 1),
     (("seed",), ">= 0", lambda v: v >= 0),
@@ -303,7 +304,7 @@ def evaluate(model: am.TinyMlp, X, y, weights=None) -> float:
     """Accuracy of argmax logits over one forward pass of every row
     (``weights`` as in `am.backward`)."""
     logits = am.forward(model, X, weights)
-    return float(np.mean(logits.argmax(axis=1) == np.asarray(y)))
+    return float(np.mean(logits.argmax(axis=-1) == np.asarray(y)))
 
 
 def _eval_all(model: am.TinyMlp, stream: list[ExperienceSplit]) -> np.ndarray:

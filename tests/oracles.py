@@ -1,4 +1,4 @@
-"""Test oracles and property sweeps shared by the tests and ``bench``.
+"""Test oracles and property sweeps shared by the tests.
 
 Each sweep takes a seed and an instance count and returns the worst
 margin it saw; the tests pick the seeds, counts and tolerances.  The
@@ -17,9 +17,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import adapter_model as am
-from .metrics import AccuracyMatrix, avg_acc, bwt, forgetting, fwt
-from .projector import (
+from gemproj import adapter_model as am
+from gemproj.metrics import AccuracyMatrix, avg_acc, bwt, forgetting, fwt
+from gemproj.projector import (
     ConstraintMatrix,
     DualState,
     ProjectionResult,

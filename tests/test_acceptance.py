@@ -7,21 +7,22 @@ import numpy as np
 import pytest
 
 from gemproj import adapter_model as am
-from gemproj.bench import (
-    adjacent_fit_error,
-    bench_igem_grid,
-    bench_ordering,
-    linear_fit_r2,
-)
 from gemproj.datagen import StreamSpec, generate_stream
 from gemproj.metrics import avg_acc, bwt, forgetting
 from gemproj.trainer import TrainConfig, prepare_model, run_experiences
-from gemproj.verify import (
+
+from oracles import (
     descent_increase,
     gradient_errors,
     oracle_sweep,
     rate_bound_excess,
     two_task_fixture_errors,
+)
+from timing import (
+    adjacent_fit_error,
+    bench_igem_grid,
+    bench_ordering,
+    linear_fit_r2,
 )
 
 SEEDS = (0, 2, 5, 7, 11)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from gemproj import adapter_model as am
-from gemproj.verify import gradient_errors
+
+from oracles import gradient_errors
 
 
 SMALL = am.ModelConfig(input_dim=4, hidden_dim=3, n_classes=3, rank=2, alpha=8.0)

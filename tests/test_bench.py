@@ -1,6 +1,6 @@
 import numpy as np
 
-from gemproj.bench import (
+from timing import (
     BenchRow,
     adjacent_cells,
     adjacent_fit_error,

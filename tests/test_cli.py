@@ -21,6 +21,7 @@ from gemproj.results import (
     CURVE_COLUMNS,
     atomic_write_text,
     build_run_result,
+    environment_fingerprint,
     write_curves_csv,
 )
 from gemproj.trainer import StepRecord, TrainConfig, prepare_model, run_experiences
@@ -76,6 +77,21 @@ def test_run_document_reports_the_clock_its_timings_come_from():
     env = small_doc()[0]["environment"]
     assert env["perf_counter_resolution_s"] == time.get_clock_info("perf_counter").resolution
     assert "monotonic_clock_resolution_s" not in env
+
+
+def test_run_document_names_the_blas_and_its_thread_settings(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    env = environment_fingerprint()
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert env["blas"] == {"name": blas["name"], "version": blas["version"]}
+    assert env["blas_threads_env"]["OPENBLAS_NUM_THREADS"] == "2"
+    assert env["blas_threads_env"]["OMP_NUM_THREADS"] == "default"
+    assert set(env["blas_threads_env"]) == {
+        "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
+        "VECLIB_MAXIMUM_THREADS"}
+    assert env["nproc"] == os.cpu_count()
+    assert json.loads(json.dumps(env)) == env
 
 
 def test_atomic_write_leaves_no_partial_files(tmp_path):
@@ -535,6 +551,7 @@ def test_cli_worker_pool_is_clamped_to_cell_count(tmp_path, monkeypatch):
     ("--mean-scale", "nan", "mean_scale"),
     ("--mean-scale", "inf", "mean_scale"),
     ("--mean-scale", "0", "mean_scale"),
+    ("--lr", "inf", "lr"),
 ])
 def test_cli_rejects_out_of_range_config_before_writing(tmp_path, capsys, flag, value, field):
     out = tmp_path / "o"

@@ -13,14 +13,15 @@ from gemproj.metrics import (
     fwt,
     mpo,
 )
-from gemproj.verify import peaked_forgetting_gap
+
+from oracles import peaked_forgetting_gap
 
 
 def matrix(R):
     return AccuracyMatrix(np.asarray(R, dtype=float))
 
 
-# its AvgAcc/BWT/FWT/F hand values are checked by verify.two_task_fixture_errors
+# its AvgAcc/BWT/FWT/F hand values are checked by oracles.two_task_fixture_errors
 T2 = matrix([[0.25, 0.25], [0.90, 0.50], [0.80, 0.85]])
 
 
@@ -87,6 +88,16 @@ def test_accuracy_matrix_validation():
         matrix(np.zeros((3, 3)))  # not (T+1) x T
     with pytest.raises(ValueError):
         matrix(np.full((3, 2), 1.5))  # out of [0, 1]
+
+
+@pytest.mark.parametrize("col", [0, 1])
+@pytest.mark.parametrize("row", [0, 1, 2])
+def test_accuracy_matrix_rejects_nan(row, col):
+    # a NaN compares False to both bounds, so it must fail the range check itself
+    R = np.array([[0.5, 0.5], [0.5, 0.5], [0.4, 0.6]])
+    R[row, col] = np.nan
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        matrix(R)
 
 
 def test_compute_all_uses_null_not_zero_for_absent():

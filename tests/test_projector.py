@@ -15,7 +15,8 @@ from gemproj.projector import (
     pgd_project,
     violation_check,
 )
-from gemproj.verify import kkt_residuals, random_instance
+
+from oracles import kkt_residuals, random_instance
 
 
 def cm(rows):

@@ -3,7 +3,8 @@ import pytest
 
 from gemproj.projector import ConstraintMatrix
 from gemproj.spectral import power_iteration, stepsize
-from gemproj.verify import descent_increase, random_instance, true_sigma_max
+
+from oracles import descent_increase, random_instance, true_sigma_max
 
 
 def test_identity_matrix_gives_one_in_a_single_step():

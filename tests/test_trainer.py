@@ -273,6 +273,18 @@ def test_non_finite_update_aborts_with_diagnostic():
     assert record["step"] == state.global_step
 
 
+def test_evaluate_scores_one_row_like_a_one_row_batch():
+    spec = StreamSpec(seed=0, **SMALL_SPEC)
+    split = generate_stream(spec)[0]
+    model = prepare_model(spec, 0, model_config=SMALL_MODEL)
+    scores = set()
+    for x, y in zip(split.test_x[:10], split.test_y[:10]):
+        one = trainer.evaluate(model, x, y)
+        assert one == trainer.evaluate(model, x[None, :], np.array([y]))
+        scores.add(one)
+    assert scores == {0.0, 1.0}
+
+
 def test_run_log_timestamps_monotone_and_append_only():
     matrix, log = small_run("igem", seed=0)
     ts = [r.timestamp for r in log.steps]

@@ -30,8 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .projector import ConstraintMatrix, DualState, agem_project, exact_qp_project, pgd_project
-from .verify import true_sigma_max
+from gemproj.projector import ConstraintMatrix, DualState, agem_project, exact_qp_project, pgd_project
+
+from oracles import true_sigma_max
 
 DEFAULT_MS = (8, 16, 32)
 DEFAULT_DS = (50_000, 100_000, 200_000)
