@@ -11,7 +11,8 @@ variable (an integer >= 1, clamped to the number of cells).
 Exit codes: 0 success, 2 usage error, 3 a run diverged (its cell writes
 run_<method>_seed<seed>.failed.json with the config echo and diagnostics;
 the other cells still write their documents), 4 a grid worker was lost
-(each cell left without a result writes a .failed.json naming the loss;
+(each cell it left without a result runs once more in a worker of its own,
+and a cell whose worker dies again writes a .failed.json naming the loss;
 4 wins when a run also diverged).  Code 1 is retired.
 """
 
@@ -130,19 +131,30 @@ def execute_run(config: TrainConfig, spec: StreamSpec, table: np.ndarray | None)
 
 def _outputs(cells, table, workers: int):
     """Each cell's ``execute_run`` output in grid order, as it becomes
-    available.  On a pool that lost a worker, each cell left without a
-    result (its worker died, or it never ran) yields the BrokenProcessPool."""
+    available.  A cell that a lost worker left without a result (its worker
+    died, or the broken pool never ran it) runs once more, alone in a fresh
+    one-worker pool, so a cell that kills its worker costs only itself; if
+    that worker dies too, the cell yields its BrokenProcessPool."""
     if workers == 1:
         yield from (execute_run(cfg, spec, table) for cfg, spec in cells)
         return
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(execute_run, cfg, spec, table) for cfg, spec in cells]
-        for future in futures:
+        for (cfg, spec), future in zip(cells, futures):
             try:
                 output = future.result()
-            except BrokenProcessPool as e:
-                output = e
+            except BrokenProcessPool:
+                output = _run_alone(cfg, spec, table)
             yield output
+
+
+def _run_alone(cfg: TrainConfig, spec: StreamSpec, table: np.ndarray | None):
+    """``execute_run`` in a worker of its own, or the BrokenProcessPool if it dies."""
+    with ProcessPoolExecutor(max_workers=1) as solo:
+        try:
+            return solo.submit(execute_run, cfg, spec, table).result()
+        except BrokenProcessPool as e:
+            return e
 
 
 def cmd_run(args) -> int:

@@ -125,7 +125,10 @@ def split_80_20(seed: int, experience_id: int, row_indices: np.ndarray) -> tuple
     if n < 2:
         raise ValueError(f"experience {experience_id} needs at least 2 rows to split")
     n_test = max(1, math.floor(TEST_FRACTION * n))
-    keys = np.array([_split_key(seed, experience_id, int(r)) for r in row_indices])
+    # exact 64-bit keys: np.array over Python ints on both sides of 2**63 makes
+    # float64, which ties keys that differ only in their low bits
+    keys = np.fromiter((_split_key(seed, experience_id, int(r)) for r in row_indices),
+                       dtype=np.uint64, count=n)
     order = np.argsort(keys, kind="stable")
     test_pos = np.sort(order[:n_test])
     train_pos = np.sort(order[n_test:])

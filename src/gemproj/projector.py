@@ -20,6 +20,7 @@ All arithmetic is float64.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -143,8 +144,11 @@ def _checked(G: ConstraintMatrix, g, lam=None) -> tuple[np.ndarray, np.ndarray |
 
 
 def _dual_at(A: np.ndarray, Gg: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, float]:
-    """u = G' lam and the dual value F(lam) = 0.5 ||u||^2 + (G g)' lam."""
-    u = A.T @ lam
+    """u = G' lam and the dual value F(lam) = 0.5 ||u||^2 + (G g)' lam.
+
+    G' lam is taken as ``lam @ A``: the same bits as ``A.T @ lam``, but at
+    m = 1 numpy sends ``A.T @ lam`` to a slow one-column gemv."""
+    u = lam @ A
     return u, float(0.5 * u.dot(u) + Gg.dot(lam))
 
 
@@ -198,7 +202,7 @@ def pgd_project(
     Gg = A @ g
     lam = warm.lam.copy()
     for _ in range(K):
-        r = A @ (A.T @ lam) + Gg
+        r = A @ (lam @ A) + Gg
         lam = np.maximum(0.0, lam - eta * r)
 
     u, dual_value = _dual_at(A, Gg, lam)
@@ -287,20 +291,31 @@ def exact_qp_project(g, G: ConstraintMatrix) -> ProjectionResult:
 def agem_project(g, g_ref) -> np.ndarray:
     """Single-constraint closed-form projection against an averaged reference
     gradient: if g' g_ref >= 0 return g, else remove the violating component.
+
+    Four passes over d on finite inputs: the dots g_ref' g_ref and g' g_ref,
+    then one multiply into the result and one subtract in place.  A NaN or
+    inf in either vector makes a dot non-finite (inf * 0 is NaN), so the
+    finiteness scans run only then.  When they pass (finite entries whose
+    dots overflowed), the dots are retaken with numpy's floating-point
+    warnings on, so they warn, or raise under an error filter, as plain
+    dots do.
     """
     g = _as_vector(g, "g")
     g_ref = _as_vector(g_ref, "g_ref")
     if g.shape != g_ref.shape:
         raise ValueError(f"shape mismatch: g {g.shape} vs g_ref {g_ref.shape}")
-    if not np.all(np.isfinite(g)) or not np.all(np.isfinite(g_ref)):
-        raise ValueError("non-finite values in gradients")
-    denom = g_ref.dot(g_ref)
-    if denom == 0.0:
+    with np.errstate(over="ignore", invalid="ignore"):
+        denom = g_ref.dot(g_ref)
+        dot = g.dot(g_ref)
+    if not (math.isfinite(denom) and math.isfinite(dot)):
+        if not np.all(np.isfinite(g)) or not np.all(np.isfinite(g_ref)):
+            raise ValueError("non-finite values in gradients")
+        denom = g_ref.dot(g_ref)
+        dot = g.dot(g_ref)
+    if denom == 0.0 or dot >= 0.0:
         return g.copy()
-    dot = g.dot(g_ref)
-    if dot >= 0.0:
-        return g.copy()
-    return g - (dot / denom) * g_ref
+    out = (dot / denom) * g_ref
+    return np.subtract(g, out, out=out)
 
 
 def violation_check(g, G: ConstraintMatrix) -> tuple[bool, float]:

@@ -19,7 +19,8 @@ DEFAULT_SAFETY = 0.7
 def power_iteration(G: ConstraintMatrix, iters: int = DEFAULT_POWER_ITERS, seed: int = 0) -> float:
     """Estimate sigma_max(G G') with a few power-iteration steps.
 
-    Iterates v <- (G G') v / ||(G G') v|| in the two-matvec form G (G' v)
+    Iterates v <- (G G') v / ||(G G') v|| in the two-matvec form G (G' v),
+    with G' v taken as ``v @ G`` (see ``projector._dual_at``),
     from a pseudo-random unit start vector drawn from ``seed`` and returns
     the Rayleigh quotient v' (G G') v of the final unit iterate.  The
     estimate may fall below the true value (hence the safety factor) but
@@ -36,13 +37,13 @@ def power_iteration(G: ConstraintMatrix, iters: int = DEFAULT_POWER_ITERS, seed:
 
     A = G.data
     for _ in range(iters):
-        w = A @ (A.T @ v)
+        w = A @ (v @ A)
         norm = np.linalg.norm(w)
         if norm == 0.0:
             # v lies in the null space of G G'; Rayleigh quotient is 0.
             return 0.0
         v = w / norm
-    u = A.T @ v
+    u = v @ A
     return float(u.dot(u))
 
 

@@ -497,6 +497,38 @@ def test_cli_parallel_workers_match_serial(tmp_path, monkeypatch):
     assert results["serial"] == results["parallel"]
 
 
+def test_cli_lost_grid_worker_costs_only_the_cells_that_kill_it(tmp_path):
+    # agem's cells kill their worker; the cells the broken pool loses with
+    # them run again, each alone, and finish as a serial run does
+    script = """if True:
+        import os, sys
+        import gemproj.cli as cli
+        real = cli.run_experiences
+        def dies_on_agem(config, stream, model):
+            if config.method == "agem":
+                os._exit(9)
+            return real(config, stream, model)
+        cli.run_experiences = dies_on_agem
+        sys.exit(cli.main(sys.argv[1:]))
+    """
+    grid = ["--seeds", "0,1", "--n-per-experience", "200", "--feature-dim", "8"]
+    out, serial = tmp_path / "o", tmp_path / "serial"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "GEMPROJ_WORKERS": "2"}
+    proc = subprocess.run([sys.executable, "-c", script, "run", "--methods", "naive,agem,igem",
+                           "--out", str(out), *grid], env=env, capture_output=True, text=True, timeout=180)
+    assert proc.returncode == 4, proc.stderr
+    assert run_cli("run", "--methods", "naive,igem", "--out", str(serial), *grid) == 0
+    assert sorted(p.name for p in out.glob("*.failed.json")) == [
+        "run_agem_seed0.failed.json", "run_agem_seed1.failed.json"]
+    for method in ("naive", "igem"):
+        for seed in (0, 1):
+            stem = f"run_{method}_seed{seed}.json"
+            got, want = (json.loads((d / stem).read_text()) for d in (out, serial))
+            assert got["accuracy_matrix"] == want["accuracy_matrix"]
+    agg = json.loads((out / "aggregate.json").read_text())
+    assert set(agg["methods"]) == {"naive", "igem"}
+
+
 @pytest.mark.parametrize("value", ["two", "1.5", "", "0", "-3", "²"])
 def test_cli_rejects_bad_worker_count(tmp_path, monkeypatch, capsys, value):
     monkeypatch.setenv("GEMPROJ_WORKERS", value)

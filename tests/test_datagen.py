@@ -94,6 +94,16 @@ def test_split_is_pure_function_of_seed_exp_and_rows():
     assert not np.array_equal(a[1], c[1])  # different seed, different assignment
 
 
+def test_split_orders_keys_above_2_63_by_their_low_bits(monkeypatch):
+    # 2**63 + 2 and 2**63 + 1 are one float64; as exact 64-bit keys the
+    # second is smaller and its row joins the small key's row in the test split
+    keys = {0: 2 ** 63 + 2, 1: 2 ** 63 + 1, 2: 5}
+    monkeypatch.setattr(datagen, "_split_key", lambda seed, exp, row: keys.get(row, 2 ** 64 - 1 - row))
+    train, test = split_80_20(0, 0, np.arange(10))
+    np.testing.assert_array_equal(test, [1, 2])
+    np.testing.assert_array_equal(train, [0, 3, 4, 5, 6, 7, 8, 9])
+
+
 def test_split_counts_floor_with_minimum_one():
     train, test = split_80_20(0, 0, np.arange(5))
     assert len(test) == 1 and len(train) == 4

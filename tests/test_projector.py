@@ -1,10 +1,13 @@
 import logging
+import warnings
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
 import pytest
 from scipy.optimize import nnls
 
+from gemproj import projector
 from gemproj.projector import (
     ActiveSetCapacityError,
     ConstraintMatrix,
@@ -349,6 +352,84 @@ def test_agem_rejects_non_finite():
         agem_project([np.nan, 0.0], [1.0, 0.0])
 
 
+def _agem_scan_first(g, g_ref):
+    """Reference A-GEM projection: both finiteness scans before the dots, then
+    g - c g_ref through two temporaries.  ``agem_project`` must match its
+    bytes, exceptions and warnings."""
+    g = np.asarray(g, dtype=np.float64)
+    g_ref = np.asarray(g_ref, dtype=np.float64)
+    if not np.all(np.isfinite(g)) or not np.all(np.isfinite(g_ref)):
+        raise ValueError("non-finite values in gradients")
+    denom = g_ref.dot(g_ref)
+    if denom == 0.0:
+        return g.copy()
+    dot = g.dot(g_ref)
+    if dot >= 0.0:
+        return g.copy()
+    return g - (dot / denom) * g_ref
+
+
+def _agem_edge_cases():
+    rng = np.random.default_rng(27)
+    d = 16
+    g, ref = rng.standard_normal(d), rng.standard_normal(d)
+    cases = {}
+    for bad in (np.nan, np.inf, -np.inf):
+        for where in ("g", "g_ref"):
+            a, b = g.copy(), ref.copy()
+            (a if where == "g" else b)[3] = bad
+            cases[f"{bad}-in-{where}"] = (a, b)
+    for where in ("g", "g_ref"):
+        # inf * 0 in the cross dot is NaN: the other vector holds 0 there
+        a, b = g.copy(), ref.copy()
+        (a, b)[where == "g_ref"][3] = np.inf
+        (a, b)[where == "g"][3] = 0.0
+        cases[f"inf-in-{where}-over-0"] = (a, b)
+    big = 1e200 * rng.uniform(1.0, 2.0, d)
+    cases["inf-beside-1e200"] = (np.r_[np.inf, -big[1:]], big)
+    cases["nan-beside-1e200"] = (-big, np.r_[big[:-1], np.nan])
+    cases["denom-overflows"] = (-g, big)
+    cases["both-overflow-same-sign"] = (-big, big)
+    # one lane of the dot sums to +inf and another to -inf
+    cases["both-overflow-mixed-sign"] = (np.r_[big[:1], -big[1:]], big)
+    cases["cross-dot-overflows"] = (-1e300 * np.abs(ref), np.r_[np.abs(ref[:-1]), 0.0])
+    cases["zero-g_ref"] = (g, np.zeros(d))
+    cases["zero-g_ref-huge-g"] = (1e300 * g, np.zeros(d))
+    cases["denom-underflows"] = (-1e300 * np.abs(g), 1e-170 * np.abs(ref))
+    cases["violating"] = (-np.abs(g), np.abs(ref))
+    cases["feasible"] = (np.abs(g), np.abs(ref))
+    return cases
+
+
+def _agem_outcome(fn, g, g_ref):
+    try:
+        return ("returned", fn(g, g_ref).tobytes())
+    except Exception as e:
+        return ("raised", type(e), str(e))
+
+
+@pytest.mark.parametrize("case", list(_agem_edge_cases()))
+def test_agem_edge_cases_match_scan_first_with_warnings_recorded(case):
+    g, g_ref = _agem_edge_cases()[case]
+    seen = []
+    for fn in (agem_project, _agem_scan_first):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            outcome = _agem_outcome(fn, g, g_ref)
+        seen.append((outcome, [(w.category, str(w.message)) for w in caught]))
+    assert seen[0] == seen[1]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("case", list(_agem_edge_cases()))
+def test_agem_edge_cases_match_scan_first_with_warnings_as_errors(case):
+    g, g_ref = _agem_edge_cases()[case]
+    got, want = (_agem_outcome(fn, g, g_ref) for fn in (agem_project, _agem_scan_first))
+    assert got == want
+    if case == "denom-overflows":
+        assert want == ("raised", RuntimeWarning, "overflow encountered in dot")
+
+
 # --- violation_check ------------------------------------------------------------
 
 def test_violation_check_examples():
@@ -421,6 +502,51 @@ def test_exact_touches_g_four_times_whatever_the_subset_count(m):
     res = exact_qp_project(g, G)
     assert res.iterations_used == 2 ** m
     assert MatmulCounter.calls == 4
+
+
+class AgemCounter(np.ndarray):
+    """g and g_ref stand-in that counts the full-length operations it takes part in."""
+
+    calls = Counter()
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        AgemCounter.calls[ufunc.__name__] += 1
+        plain = [x.view(np.ndarray) if isinstance(x, AgemCounter) else x for x in inputs]
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+    def dot(self, other):
+        AgemCounter.calls["dot"] += 1
+        return self.view(np.ndarray).dot(np.asarray(other))
+
+
+@pytest.mark.parametrize("violating", [True, False])
+def test_agem_takes_two_dots_one_multiply_and_one_subtract(monkeypatch, violating):
+    # no finiteness scan on finite inputs: the two dots already read every entry
+    real = projector._as_vector
+    monkeypatch.setattr(projector, "_as_vector", lambda x, name: real(x, name).view(AgemCounter))
+    rng = np.random.default_rng(4)
+    g, g_ref = rng.standard_normal(1000), rng.standard_normal(1000)
+    if (g.dot(g_ref) < 0.0) != violating:
+        g = -g
+    AgemCounter.calls.clear()
+    got = agem_project(g, g_ref)
+    want = {"dot": 2, "multiply": 1, "subtract": 1} if violating else {"dot": 2}
+    assert dict(AgemCounter.calls) == want
+    assert got.tobytes() == _agem_scan_first(g, g_ref).tobytes()
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 7, 8, 16, 32])
+def test_lam_at_a_is_bitwise_a_transpose_at_lam(m):
+    # the projectors take G' lam as lam @ G: the bits of G.T @ lam at every m,
+    # on random_instance draws and at adapter scale
+    rng = np.random.default_rng(m)
+    draws = [random_instance(rng, min_ratio=0)[0].data for _ in range(50)]
+    for width in (53_248, 200_000 // m):
+        rows = rng.standard_normal((m, width))
+        draws.append(rows / np.linalg.norm(rows, axis=1)[:, None])
+    for A in draws:
+        lam = rng.exponential(size=A.shape[0]) * (rng.random(A.shape[0]) < 0.7)
+        assert (lam @ A).tobytes() == (A.T @ lam).tobytes()
 
 
 # --- ConstraintMatrix / DualState ------------------------------------------------
