@@ -106,7 +106,7 @@ class DualState:
 
     def __post_init__(self):
         self.lam = _as_vector(self.lam, "lam")
-        if self.lam.size and self.lam.min() < 0.0:
+        if not np.all(self.lam >= 0.0):
             raise ValueError("dual state violates lam >= 0")
 
     @classmethod
@@ -185,14 +185,14 @@ def pgd_project(
     the final multipliers for warm-starting the next call.
     """
     g, _ = _checked(G, g, warm.lam)
-    if eta <= 0.0:
+    if not 0.0 < eta < math.inf:
         raise ValueError("eta must be > 0")
     if K < 1:
         raise ValueError("K must be >= 1")
     # G is validated finite at construction; only the fresh gradient needs checking
     if not np.all(np.isfinite(g)):
         raise ValueError("non-finite values in gradient")
-    if warm.lam.size and warm.lam.min() < 0.0:
+    if not np.all(warm.lam >= 0.0):
         raise ValueError("warm-start lambda has a negative component")
 
     if G.rows == 0:

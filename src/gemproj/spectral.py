@@ -51,6 +51,6 @@ def stepsize(sigma: float, c: float = DEFAULT_SAFETY) -> float:
     """Safety-factored dual stepsize c / sigma_hat with c in (0, 1]."""
     if not 0.0 < c <= 1.0:
         raise ValueError(f"safety factor c must be in (0, 1], got {c}")
-    if sigma <= 0.0:
+    if not sigma > 0.0:
         raise ValueError("sigma_hat must be > 0 (skip projection when 0)")
     return c / sigma

@@ -5,6 +5,9 @@ constraint matrix from replay buffers, projection of the raw adapter
 gradient by the configured method, optimizer step on phi, buffer update
 for the current task (only the methods that replay the memory keep one;
 naive keeps none), and warm-start carryover of the dual multipliers.
+igem takes the spectral estimate behind its dual stepsize at each cold start
+of the multipliers (a task's first projection, or a change in the constraint
+count); the warm-started projections after it reuse that estimate.
 The projection always applies to the raw gradient, before any optimizer
 preconditioning; with adamw the non-interference certificate therefore
 holds pre-preconditioning only.
@@ -46,10 +49,6 @@ class NonFiniteLossError(RuntimeError):
         super().__init__(message)
         self.diagnostics = list(diagnostics)
 
-
-# An igem spectral estimate serves the projection that computed it and the
-# next SPECTRAL_REUSE ones; a change in the constraint count also refreshes it.
-SPECTRAL_REUSE = 10
 
 # (fields, rule, check) for every numeric TrainConfig field; each check
 # fails on NaN as well
@@ -158,7 +157,7 @@ def optimizer_step(phi: np.ndarray, g_tilde: np.ndarray, opt: OptState, config: 
 @dataclass
 class TrainerState:
     """Everything one run owns; a single state must not be shared across
-    concurrent training steps."""
+    concurrent training steps.  The global step number is ``len(log.steps)``."""
 
     config: TrainConfig
     model: am.TinyMlp
@@ -167,10 +166,8 @@ class TrainerState:
     opt: OptState = field(default_factory=OptState)
     log: RunLog = field(default_factory=RunLog)
     dual: DualState | None = None
-    sigma: float | None = None       # igem's sigma_max(G G') estimate
-    sigma_age: int = 0               # projections served since it was computed
+    sigma: float | None = None       # igem's sigma_max(G G') estimate, taken at the cold start
     task_index: int = 0
-    global_step: int = 0
 
 
 def make_state(config: TrainConfig, model: am.TinyMlp) -> TrainerState:
@@ -186,7 +183,8 @@ def make_state(config: TrainConfig, model: am.TinyMlp) -> TrainerState:
 
 def start_task(state: TrainerState, task_index: int):
     """Task-boundary bookkeeping: drop the dual multipliers, so igem's next
-    projection cold-starts (``train_step`` sizes them and the spectral estimate)."""
+    projection cold-starts (``train_step`` sizes them and takes a fresh
+    spectral estimate)."""
     state.task_index = task_index
     state.dual = None
 
@@ -213,11 +211,10 @@ def _agem_reference_gradient(state: TrainerState, past: list[int], weights) -> n
 def _diverged(state: TrainerState, loss: float, reason: str) -> NonFiniteLossError:
     """The error to raise for the current step, carrying its diagnostic record
     (a non-finite loss is kept as its repr: the record must stay valid JSON)."""
-    loss = float(loss)
-    record = {"task": state.task_index, "step": state.global_step,
+    loss, step = float(loss), len(state.log.steps)
+    record = {"task": state.task_index, "step": step,
               "loss": loss if np.isfinite(loss) else repr(loss), "reason": reason}
-    return NonFiniteLossError(f"{reason} at task {state.task_index} step {state.global_step}",
-                              [record])
+    return NonFiniteLossError(f"{reason} at task {state.task_index} step {step}", [record])
 
 
 def train_step(state: TrainerState, X, y) -> StepRecord:
@@ -225,7 +222,7 @@ def train_step(state: TrainerState, X, y) -> StepRecord:
     optimizer update, buffer update, warm-start carryover); only the methods
     that replay the memory insert the batch, so naive keeps none.  The effective
     weights are formed once and shared by every backward pass of the step.
-    ``proj_time`` times the method's projection alone, igem's sigma_hat included."""
+    ``proj_time`` times the method's projection alone, igem's cold-start sigma_hat included."""
     cfg = state.config
     weights = am.effective_weights(state.model)
     loss, g = am.backward(state.model, X, y, weights=weights)
@@ -253,15 +250,10 @@ def train_step(state: TrainerState, X, y) -> StepRecord:
             result = exact_qp_project(g, G)
         else:  # igem
             if state.dual is None or state.dual.lam.shape[0] != G.rows:
-                # the one cold start: a new task, or a constraint count changed
-                # mid-task (a zero-norm row dropped, or the memory evicted a past task)
+                # the one cold start and spectral estimate: a new task, or a constraint count
+                # changed mid-task (a zero-norm row dropped, or the memory evicted a past task)
                 state.dual = DualState.cold(G.rows)
-                state.sigma = None
-            if state.sigma is None or state.sigma_age >= SPECTRAL_REUSE:
                 state.sigma = power_iteration(G, seed=cfg.seed)
-                state.sigma_age = 0
-            else:
-                state.sigma_age += 1
             if state.sigma > 0.0:
                 eta = stepsize(state.sigma, cfg.stepsize_safety)
                 result = pgd_project(g, G, state.dual, eta, cfg.pgd_iterations)
@@ -269,7 +261,7 @@ def train_step(state: TrainerState, X, y) -> StepRecord:
         projected = cfg.method == "agem" or result is not None
         proj_time = time.perf_counter() - t0 if projected else 0.0
         if cfg.method == "agem":
-            max_violation = max(0.0, -float(g_tilde.dot(g_ref))) if g_ref.dot(g_ref) else 0.0
+            max_violation = max(0.0, -float(g_tilde.dot(g_ref)))
         elif result is not None:
             g_tilde = result.projected_gradient
             lambda_norm = float(np.linalg.norm(result.final_lambda.lam))
@@ -286,7 +278,7 @@ def train_step(state: TrainerState, X, y) -> StepRecord:
 
     rec = StepRecord(
         task=state.task_index,
-        step=state.global_step,
+        step=len(state.log.steps),
         loss=loss,
         proj_time=proj_time,
         lambda_norm=lambda_norm,
@@ -296,7 +288,6 @@ def train_step(state: TrainerState, X, y) -> StepRecord:
         timestamp=time.monotonic(),
     )
     state.log.add_step(rec)
-    state.global_step += 1
     return rec
 
 

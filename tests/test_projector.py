@@ -109,6 +109,19 @@ def test_pgd_rejects_bad_arguments():
         pgd_project([1, 0], G, bad, eta=1.0, K=1)
 
 
+@pytest.mark.parametrize("eta,warm_lam,match", [
+    (np.nan, [0.0], "eta must be > 0"),
+    (np.inf, [0.0], "eta must be > 0"),
+    (1.0, [np.nan], "negative component"),
+])
+def test_pgd_rejects_nan_or_inf_eta_and_a_nan_warm_start(eta, warm_lam, match):
+    # each would otherwise yield a NaN g~, or numpy's invalid-value warning
+    warm = DualState.cold(1)
+    warm.lam = np.array(warm_lam)  # bypass construction-time validation
+    with pytest.raises(ValueError, match=match):
+        pgd_project([1.0, 0.0], cm([[1, 0]]), warm, eta=eta, K=1)
+
+
 def test_pgd_result_is_reconstructible():
     rng = np.random.default_rng(3)
     G = ConstraintMatrix.from_rows(rng.standard_normal((4, 16)), normalize=True)
@@ -578,6 +591,12 @@ def test_constraint_matrix_validates_shape_and_finiteness():
         ConstraintMatrix(np.zeros(3))
     with pytest.raises(ValueError, match="non-finite"):
         ConstraintMatrix(np.array([[1.0, np.nan]]))
+
+
+@pytest.mark.parametrize("lam", [[np.nan, 1.0], [1.0, np.nan], [np.nan]])
+def test_dual_state_rejects_nan_lambda(lam):
+    with pytest.raises(ValueError, match="violates lam >= 0"):
+        DualState(np.array(lam))
 
 
 def test_dual_state_rejects_negative_lambda():

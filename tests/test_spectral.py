@@ -77,6 +77,12 @@ def test_stepsize_rejects_bad_config():
         stepsize(0.0, c=0.7)
 
 
+@pytest.mark.parametrize("sigma", [float("nan"), np.float64("nan")])
+def test_stepsize_rejects_nan_sigma(sigma):
+    with pytest.raises(ValueError, match="sigma_hat must be > 0"):
+        stepsize(sigma, c=0.7)
+
+
 def test_default_start_vector_is_deterministic():
     G = ConstraintMatrix(np.random.default_rng(0).standard_normal((5, 9)))
     assert power_iteration(G, iters=3, seed=42) == power_iteration(G, iters=3, seed=42)

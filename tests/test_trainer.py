@@ -21,6 +21,9 @@ from gemproj.trainer import (
     train_step,
 )
 
+from oracles import true_sigma_max
+from test_projector import AgemCounter
+
 SMALL_SPEC = dict(n_per_experience=300, feature_dim=8)
 SMALL_MODEL = am.ModelConfig(input_dim=8, hidden_dim=6, n_classes=4, rank=2, alpha=8.0)
 
@@ -270,7 +273,7 @@ def test_non_finite_update_aborts_with_diagnostic():
             train_step(state, *_batch(rng))
     [record] = exc.value.diagnostics
     assert record["reason"] == "non-finite parameter update"
-    assert record["step"] == state.global_step
+    assert record["step"] == len(state.log.steps)
 
 
 def test_evaluate_scores_one_row_like_a_one_row_batch():
@@ -359,7 +362,7 @@ def test_agem_method_projects_against_sampled_reference():
     assert len(log.proj_times) == len(projected)
 
 
-def test_spectral_estimate_serves_its_own_projection_and_the_next_ten(monkeypatch):
+def test_spectral_estimate_is_taken_at_each_cold_start(monkeypatch):
     real_power, real_step = trainer.power_iteration, trainer.train_step
     calls = []
     refreshes: dict[int, list[int]] = {}
@@ -384,7 +387,50 @@ def test_spectral_estimate_serves_its_own_projection_and_the_next_ten(monkeypatc
     model = prepare_model(spec, 0, model_config=SMALL_MODEL)
     run_experiences(TrainConfig(method="igem", seed=0, optimizer="adamw"), generate_stream(spec), model)
     assert steps_in_task == {0: 25, 1: 25, 2: 25}
-    assert refreshes == {1: [0, 11, 22], 2: [0, 11, 22]}
+    assert refreshes == {1: [0], 2: [0]}
+
+
+@pytest.mark.parametrize("optimizer", trainer.OPTIMIZERS)
+def test_igem_stepsize_keeps_every_projection_inside_the_stable_range(monkeypatch, optimizer):
+    # the estimate taken at a cold start sets eta for every warm-started
+    # projection after it; dual PGD converges while eta * sigma_max(G G') < 2
+    real_pgd = trainer.pgd_project
+    calls = []  # (eta, G) per projection
+
+    def recording_pgd(g, G, warm, eta, *args, **kwargs):
+        calls.append((eta, G))
+        return real_pgd(g, G, warm, eta, *args, **kwargs)
+
+    monkeypatch.setattr(trainer, "pgd_project", recording_pgd)
+    spec = StreamSpec(seed=0, n_per_experience=1000, feature_dim=8)
+    model = prepare_model(spec, 0, model_config=SMALL_MODEL)
+    cfg = TrainConfig(method="igem", seed=0, optimizer=optimizer)
+    run_experiences(cfg, generate_stream(spec), model)
+    assert len(calls) == 50  # 25 steps in each of tasks 1 and 2
+    assert max(G.rows for _, G in calls) == 2
+    assert max(eta * true_sigma_max(G) for eta, G in calls) < 2.0
+
+
+def test_projected_agem_step_takes_one_dot_outside_the_projector(monkeypatch):
+    # max_violation is the one dot g~' g_ref: at g_ref = 0 it is already 0
+    real_ref, real_project = trainer._agem_reference_gradient, trainer.agem_project
+
+    def counted_project(g, g_ref):
+        g_tilde = real_project(g, g_ref)
+        AgemCounter.calls.clear()  # count only what the trainer takes
+        return g_tilde.view(AgemCounter)
+
+    monkeypatch.setattr(trainer, "_agem_reference_gradient",
+                        lambda *args: real_ref(*args).view(AgemCounter))
+    monkeypatch.setattr(trainer, "agem_project", counted_project)
+    state = _fresh_state(method="agem", seed=6)
+    rng = np.random.default_rng(6)
+    start_task(state, 0)
+    train_step(state, *_batch(rng))
+    start_task(state, 1)
+    for _ in range(3):
+        assert train_step(state, *_batch(rng)).projected
+        assert AgemCounter.calls["dot"] == 1
 
 
 # long enough that scheduler noise cannot carry a step across it
