@@ -21,11 +21,21 @@ keep the dW form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .datagen import check_ranges
+
 PRETRAIN_BATCH_SIZE = 32  # pretrain_base's minibatch rows
+
+# (fields, rule, check) per ModelConfig field, failing on NaN
+_RANGES = (
+    (("input_dim", "hidden_dim", "rank"), ">= 1", lambda v: v >= 1),
+    (("n_classes",), ">= 2", lambda v: v >= 2),
+    (("alpha",), "> 0 and finite", lambda v: 0 < v < math.inf),
+)
 
 
 @dataclass(frozen=True)
@@ -37,8 +47,7 @@ class ModelConfig:
     alpha: float = 32.0
 
     def __post_init__(self):
-        if self.rank < 1:
-            raise ValueError("rank must be >= 1")
+        check_ranges(self, _RANGES)
 
 
 class LoraLayer:
@@ -175,16 +184,24 @@ def forward(model: TinyMlp, x, weights=None) -> np.ndarray:
     return Z2[0] if single else Z2
 
 
-def _prep_batch(model: TinyMlp, X, y) -> tuple[np.ndarray, np.ndarray]:
+def as_batch(X, y) -> tuple[np.ndarray, np.ndarray]:
+    """``X`` as float64 rows (a 1-D ``X`` is one row) and ``y`` as one int64
+    label per row."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if X.ndim == 1:
         X = X[None, :]
         y = np.atleast_1d(y)
-    if X.shape[0] == 0:
-        raise ValueError("batch must be nonempty")
     if y.shape != (X.shape[0],):
         raise ValueError(f"labels have shape {y.shape}, expected ({X.shape[0]},)")
+    return X, y
+
+
+def check_batch(model: TinyMlp, X, y) -> tuple[np.ndarray, np.ndarray]:
+    """`as_batch`, refusing an empty batch and labels outside [0, n_classes)."""
+    X, y = as_batch(X, y)
+    if X.shape[0] == 0:
+        raise ValueError("batch must be nonempty")
     if y.min() < 0 or y.max() >= model.config.n_classes:
         raise ValueError(
             f"label out of range [0, {model.config.n_classes}): {int(y[(y < 0) | (y >= model.config.n_classes)][0])}"
@@ -202,7 +219,7 @@ def _layer_deltas(model: TinyMlp, X, y, weights=None):
     delta) whose product D' X is that layer's effective-weight gradient;
     ``weights`` are ``effective_weights(model)`` when the caller already
     formed them."""
-    X, y = _prep_batch(model, X, y)
+    X, y = check_batch(model, X, y)
     n = X.shape[0]
     W1, W2 = effective_weights(model) if weights is None else weights
     Z1 = X @ W1.T

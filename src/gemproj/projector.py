@@ -81,11 +81,16 @@ class ConstraintMatrix:
 
     @classmethod
     def from_rows(cls, rows, normalize: bool = False, in_place: bool = False) -> "ConstraintMatrix":
-        """Stack gradient rows, dropping zero rows (logged) and optionally
-        scaling the survivors to unit norm.  ``rows`` is never written unless
-        ``in_place`` hands it over (a float64 (m, d) array) to be scaled in place."""
+        """Stack gradient rows, refusing non-finite ones, dropping zero rows
+        (logged) and optionally scaling the survivors to unit norm.  ``rows``
+        is never written unless ``in_place`` hands it over (a float64 (m, d)
+        array) to be scaled in place."""
         arr = np.atleast_2d(np.asarray(rows, dtype=np.float64))
         norms = np.linalg.norm(arr, axis=1)
+        # a NaN or inf entry leaves its row's norm non-finite, but so can finite
+        # entries whose squares overflow: only then are the entries scanned
+        if not np.all(np.isfinite(norms)) and not np.all(np.isfinite(arr)):
+            raise ValueError("non-finite values in constraint matrix")
         keep = norms > 0.0
         dropped = tuple(int(i) for i in np.flatnonzero(~keep))
         if dropped:

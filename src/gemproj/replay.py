@@ -3,12 +3,12 @@
 Buffers keep a sample of each task's training stream, the source of the
 averaged past-task gradients stacked into the constraint matrix G.  Each
 task stores its rows as one float64 array and one int64 label array,
-oldest first, plus its row count per label.
+oldest first.
 
 Eviction is water-filling: e units leave a vector of counts one at a
 time from the largest entry, ties to the lowest index (``_water_fill``
-does it in closed form).  ``insert`` adds a batch's labels to its task's
-counts and water-fills them down to ``capacity_per_task``; over
+does it in closed form).  ``insert`` counts the labels of the batch's task
+and water-fills them down to ``capacity_per_task``; over
 ``total_cap`` it water-fills the task sizes (ties to the lowest task id)
 and each cut task's labels by its share.  Within a label the oldest rows
 go first, so every task the call cut then drops its oldest e_l rows of
@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from itertools import accumulate, zip_longest
+from itertools import accumulate
 
 import numpy as np
 
-from .adapter_model import TinyMlp, adapter_dim, backward, effective_weights
+from .adapter_model import TinyMlp, adapter_dim, as_batch, backward, effective_weights
 from .projector import ConstraintMatrix
 
 logger = logging.getLogger(__name__)
@@ -59,34 +59,15 @@ def _water_fill(counts: list[int], excess: int) -> list[int]:
     return out
 
 
-class _TaskMemory:
-    """One task's stored rows, oldest first, and its rows per label."""
-
-    def __init__(self, dim: int):
-        self.X = _read_only(np.zeros((0, dim)))
-        self.y = _read_only(np.zeros(0, dtype=np.int64))
-        self.counts: list[int] = []
-
-    @property
-    def size(self) -> int:
-        return self.y.size
-
-    def append(self, X: np.ndarray, y: np.ndarray):
-        self.X = _read_only(np.concatenate([self.X, X]))
-        self.y = _read_only(np.concatenate([self.y, y]))
-        added = np.bincount(y).tolist()
-        self.counts = [c + a for c, a in zip_longest(self.counts, added, fillvalue=0)]
-
-    def keep_newest(self, counts: list[int]):
-        """Keep the newest ``counts[l]`` rows of every label l."""
-        order = self.y.argsort(kind="stable")  # by label, oldest first within one
-        # each label's newest evicted row: rows up to it go, rows after it stay
-        last = [order[first + c - k - 1] if c > k else -1
-                for first, c, k in zip(accumulate([0] + self.counts), self.counts, counts)]
-        keep = np.arange(self.size) > np.array(last)[self.y]
-        self.X = _read_only(self.X[keep])
-        self.y = _read_only(self.y[keep])
-        self.counts = counts
+def keep_newest(X: np.ndarray, y: np.ndarray, have: list[int], counts: list[int]):
+    """The newest ``counts[l]`` of the ``have[l]`` rows of every label l in
+    ``(X, y)``, in their order (read-only)."""
+    order = y.argsort(kind="stable")  # by label, oldest first within one
+    # each label's newest evicted row: rows up to it go, rows after it stay
+    last = [order[first + c - k - 1] if c > k else -1
+            for first, c, k in zip(accumulate([0] + have), have, counts)]
+    keep = np.arange(y.size) > np.array(last)[y]
+    return _read_only(X[keep]), _read_only(y[keep])
 
 
 @dataclass
@@ -95,21 +76,19 @@ class ReplayBuffer:
 
     capacity_per_task: int = DEFAULT_CAPACITY_PER_TASK
     total_cap: int = DEFAULT_TOTAL_CAP
-    _memories: dict[int, _TaskMemory] = field(default_factory=dict, init=False, repr=False)
+    _memories: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict, init=False, repr=False)
 
     def tasks(self) -> list[int]:
-        return sorted(t for t, mem in self._memories.items() if mem.size)
+        return sorted(t for t, (_, y) in self._memories.items() if y.size)
 
     def size(self, task: int) -> int:
-        mem = self._memories.get(task)
-        return mem.size if mem else 0
+        return self._memories[task][1].size if task in self._memories else 0
 
     def examples(self, task: int) -> tuple[np.ndarray, np.ndarray]:
         """The task's stored rows and labels in arrival order (read-only)."""
-        mem = self._memories.get(task)
-        if not mem or not mem.size:
+        if not self.size(task):
             raise ValueError(f"replay buffer for task {task} is empty")
-        return mem.X, mem.y
+        return self._memories[task]
 
     def insert(self, task: int, X, y):
         """Insert labeled examples in arrival order, then water-fill down to
@@ -117,30 +96,27 @@ class ReplayBuffer:
         stays, and at capacity only counts above the water level are cut
         (desk stream, seed 0: task 0 holds 14/7/73/6 rows of labels 0-3
         after 4 steps of 32)."""
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.int64)
-        if X.ndim == 1:
-            X = X[None, :]
-            y = np.atleast_1d(y)
-        if y.shape != (X.shape[0],):
-            raise ValueError(f"labels have shape {y.shape}, expected ({X.shape[0]},)")
+        X, y = as_batch(X, y)
         if np.any(y < 0):
             raise ValueError("labels must be nonnegative class indices")
-        mem = self._memories.get(task)
-        if mem is None:
-            mem = self._memories[task] = _TaskMemory(X.shape[1])
-        elif X.shape[1] != mem.X.shape[1]:
-            raise ValueError(f"rows have dim {X.shape[1]}, task {task} stores dim {mem.X.shape[1]}")
-        mem.append(X, y)
-        keep = {task: _water_fill(mem.counts, mem.size - self.capacity_per_task)}
+        X_old, y_old = self._memories.get(task, (np.zeros((0, X.shape[1])), y[:0]))
+        if X.shape[1] != X_old.shape[1]:
+            raise ValueError(f"rows have dim {X.shape[1]}, task {task} stores dim {X_old.shape[1]}")
+        X = _read_only(np.concatenate([X_old, X]))
+        y = _read_only(np.concatenate([y_old, y]))
+        self._memories[task] = X, y
+        have = {task: np.bincount(y).tolist()}
+        keep = {task: _water_fill(have[task], y.size - self.capacity_per_task)}
         ids = sorted(self._memories)
-        sizes = [sum(keep[t]) if t == task else self._memories[t].size for t in ids]
+        sizes = [sum(keep[t]) if t == task else self.size(t) for t in ids]
         for t, size, kept in zip(ids, sizes, _water_fill(sizes, sum(sizes) - self.total_cap)):
             if kept < size:
-                keep[t] = _water_fill(keep.get(t, self._memories[t].counts), size - kept)
+                if t not in have:
+                    have[t] = np.bincount(self._memories[t][1]).tolist()
+                keep[t] = _water_fill(keep.get(t, have[t]), size - kept)
         for t, counts in keep.items():
-            if counts is not self._memories[t].counts:
-                self._memories[t].keep_newest(counts)
+            if counts != have[t]:
+                self._memories[t] = keep_newest(*self._memories[t], have[t], counts)
         return self
 
 

@@ -293,9 +293,9 @@ def train_step(state: TrainerState, X, y) -> StepRecord:
 
 def evaluate(model: am.TinyMlp, X, y, weights=None) -> float:
     """Accuracy of argmax logits over one forward pass of every row
-    (``weights`` as in `am.backward`)."""
-    logits = am.forward(model, X, weights)
-    return float(np.mean(logits.argmax(axis=-1) == np.asarray(y)))
+    (``weights`` as in `am.backward`, and the batch checked as there)."""
+    X, y = am.check_batch(model, X, y)
+    return float(np.mean(am.forward(model, X, weights).argmax(axis=1) == y))
 
 
 def _eval_all(model: am.TinyMlp, stream: list[ExperienceSplit]) -> np.ndarray:

@@ -92,6 +92,15 @@ def test_rank_zero_is_rejected():
         am.ModelConfig(rank=0)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("input_dim", 0), ("hidden_dim", 0), ("rank", 2.5), ("n_classes", 1),
+    ("alpha", 0.0), ("alpha", -1.0), ("alpha", float("nan")), ("alpha", float("inf")),
+])
+def test_model_config_rejects_out_of_range_fields(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        am.ModelConfig(**{field: value})
+
+
 def test_rank_above_a_layer_width_has_exact_gradients():
     # r = 4 exceeds both the input (2) and the output (2) width
     model = am.build_model(am.ModelConfig(input_dim=2, hidden_dim=3, n_classes=2, rank=4), seed=1)

@@ -573,6 +573,15 @@ def test_from_rows_normalizes_and_drops_zero_rows(caplog):
     np.testing.assert_allclose(np.linalg.norm(G.data, axis=1), [1.0, 1.0], atol=1e-9)
 
 
+@pytest.mark.parametrize("normalize", [True, False])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_from_rows_refuses_non_finite_rows_before_dropping_any(bad, normalize, caplog):
+    with caplog.at_level(logging.WARNING, logger="gemproj.projector"):
+        with pytest.raises(ValueError, match="non-finite values in constraint matrix"):
+            ConstraintMatrix.from_rows([[bad, 1.0], [0.0, 0.0], [1.0, 0.0]], normalize=normalize)
+    assert caplog.records == []
+
+
 def test_from_rows_writes_into_its_input_only_when_handed_it():
     rows = np.array([[3.0, 4.0], [1.0, -2.0], [0.0, 2.0]])
     before = rows.copy()

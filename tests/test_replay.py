@@ -150,6 +150,19 @@ def test_total_cap_evicts_oldest_of_largest_task():
     np.testing.assert_array_equal(kept, X[3:])
 
 
+def test_insert_rewrites_only_the_tasks_it_cuts():
+    buf = ReplayBuffer(capacity_per_task=5, total_cap=11)
+    buf.insert(0, *make_examples([0, 1], seed=1))
+    buf.insert(1, *make_examples([0, 1, 2, 0, 1], seed=2))
+    before = {t: buf.examples(t) for t in (0, 1)}
+    buf.insert(2, *make_examples([2, 2, 1], seed=3))  # below both caps
+    assert all(a is b for t in (0, 1) for a, b in zip(buf.examples(t), before[t]))
+    buf.insert(2, *make_examples([0, 1, 0], seed=4))  # task 2 at its cap, total 12 > 11
+    assert buf.size(0) == 2 and all(a is b for a, b in zip(buf.examples(0), before[0]))
+    assert buf.size(1) == 4 and not any(a is b for a, b in zip(buf.examples(1), before[1]))
+    assert buf.size(2) == 5
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_water_fill_matches_one_unit_at_a_time(seed):
     rng = np.random.default_rng(seed)

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import time
 
 import numpy as np
@@ -286,6 +287,18 @@ def test_evaluate_scores_one_row_like_a_one_row_batch():
         assert one == trainer.evaluate(model, x[None, :], np.array([y]))
         scores.add(one)
     assert scores == {0.0, 1.0}
+
+
+@pytest.mark.parametrize("labels", [np.array([0]), 7, np.full(10, 7)],
+                         ids=["one-label", "scalar", "out-of-range"])
+def test_evaluate_refuses_the_labels_backward_refuses(labels):
+    spec = StreamSpec(seed=0, **SMALL_SPEC)
+    X = generate_stream(spec)[0].test_x[:10]
+    model = prepare_model(spec, 0, model_config=SMALL_MODEL)
+    with pytest.raises(ValueError) as refused:
+        am.backward(model, X, labels)
+    with pytest.raises(ValueError, match=re.escape(str(refused.value))):
+        trainer.evaluate(model, X, labels)
 
 
 def test_run_log_timestamps_monotone_and_append_only():
