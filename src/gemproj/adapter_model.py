@@ -174,6 +174,8 @@ def forward(model: TinyMlp, x, weights=None) -> np.ndarray:
     single = X.ndim == 1
     if single:
         X = X[None, :]
+    if X.ndim != 2:
+        raise ValueError(f"input must be one row or a 2-D batch, got shape {X.shape}")
     if X.shape[1] != model.config.input_dim:
         raise ValueError(f"input has dim {X.shape[1]}, expected {model.config.input_dim}")
     if not np.all(np.isfinite(X)):
@@ -185,13 +187,15 @@ def forward(model: TinyMlp, x, weights=None) -> np.ndarray:
 
 
 def as_batch(X, y) -> tuple[np.ndarray, np.ndarray]:
-    """``X`` as float64 rows (a 1-D ``X`` is one row) and ``y`` as one int64
-    label per row."""
+    """``X`` as float64 rows (a 1-D ``X`` is one row, any other shape not
+    2-D is refused) and ``y`` as one int64 label per row."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if X.ndim == 1:
         X = X[None, :]
         y = np.atleast_1d(y)
+    if X.ndim != 2:
+        raise ValueError(f"input must be one row or a 2-D batch, got shape {X.shape}")
     if y.shape != (X.shape[0],):
         raise ValueError(f"labels have shape {y.shape}, expected ({X.shape[0]},)")
     return X, y

@@ -86,11 +86,17 @@ class ConstraintMatrix:
         is never written unless ``in_place`` hands it over (a float64 (m, d)
         array) to be scaled in place."""
         arr = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-        norms = np.linalg.norm(arr, axis=1)
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(arr, axis=1)
         # a NaN or inf entry leaves its row's norm non-finite, but so can finite
-        # entries whose squares overflow: only then are the entries scanned
-        if not np.all(np.isfinite(norms)) and not np.all(np.isfinite(arr)):
-            raise ValueError("non-finite values in constraint matrix")
+        # entries whose squares overflow: only then are the entries scanned, and
+        # such a row's norm is retaken on the row scaled by its largest magnitude
+        if not np.all(np.isfinite(norms)):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError("non-finite values in constraint matrix")
+            for i in np.flatnonzero(np.isinf(norms)):
+                s = np.abs(arr[i]).max()
+                norms[i] = s * np.linalg.norm(arr[i] / s)
         keep = norms > 0.0
         dropped = tuple(int(i) for i in np.flatnonzero(~keep))
         if dropped:
@@ -172,8 +178,14 @@ def _identity(g: np.ndarray) -> ProjectionResult:
                             iterations_used=0, max_violation=0.0)
 
 
-def _max_violation(G: ConstraintMatrix, g_tilde: np.ndarray) -> float:
-    return float(max(0.0, -(G.data @ g_tilde).min()))
+def _result(g: np.ndarray, A: np.ndarray, Gg: np.ndarray, lam: np.ndarray,
+            iterations: int) -> ProjectionResult:
+    """The finish both d-space solvers share: g~ = g + G' lam, the dual
+    value, lam clipped at zero and the residual max(0, -min(G g~))."""
+    u, dual_value = _dual_at(A, Gg, lam)
+    g_tilde = g + u
+    return ProjectionResult(g_tilde, DualState(np.maximum(lam, 0.0)), dual_value,
+                            iterations, float(max(0.0, -(A @ g_tilde).min())))
 
 
 def pgd_project(
@@ -186,8 +198,8 @@ def pgd_project(
     """Fixed-budget dual projected gradient descent.
 
     Runs exactly K iterations of lam <- max(0, lam - eta * grad F(lam))
-    starting from ``warm.lam`` and returns g~ = g + G' lam_K together with
-    the final multipliers for warm-starting the next call.
+    from ``warm.lam``; `_result`, the finish shared with `exact_qp_project`,
+    returns g~ = g + G' lam_K and the final multipliers for the next warm start.
     """
     g, _ = _checked(G, g, warm.lam)
     if not 0.0 < eta < math.inf:
@@ -209,16 +221,7 @@ def pgd_project(
     for _ in range(K):
         r = A @ (lam @ A) + Gg
         lam = np.maximum(0.0, lam - eta * r)
-
-    u, dual_value = _dual_at(A, Gg, lam)
-    g_tilde = g + u
-    return ProjectionResult(
-        projected_gradient=g_tilde,
-        final_lambda=DualState(lam),
-        dual_value=dual_value,
-        iterations_used=K,
-        max_violation=_max_violation(G, g_tilde),
-    )
+    return _result(g, A, Gg, lam, K)
 
 
 def exact_qp_project(g, G: ConstraintMatrix) -> ProjectionResult:
@@ -230,9 +233,10 @@ def exact_qp_project(g, G: ConstraintMatrix) -> ProjectionResult:
     Candidates must satisfy lam_S >= -1e-10 and G g~ = G g + (G G') lam >= -1e-9.
     The feasible candidate with minimal 0.5 ||g~ - g||^2 = 0.5 lam' (G G') lam
     wins, and ties within 1e-12 keep the smaller active set.  g~ and its
-    violation are formed once, in d-space, from the winner.  The result
-    satisfies the KKT conditions of the cone projection.  More than
-    DEFAULT_ENUM_LIMIT constraints raise ActiveSetCapacityError.
+    violation are formed once, in d-space, from the winner by `_result`,
+    the finish `pgd_project` shares; ``iterations_used`` is the 2^m subsets
+    tried.  The result satisfies the KKT conditions of the cone projection.
+    More than DEFAULT_ENUM_LIMIT constraints raise ActiveSetCapacityError.
     """
     m = G.rows
     if m > DEFAULT_ENUM_LIMIT:
@@ -252,12 +256,10 @@ def exact_qp_project(g, G: ConstraintMatrix) -> ProjectionResult:
     M = A @ A.T
     best_lam = None
     best_obj = np.inf
-    n_evaluated = 0
     # Subsets ordered by size then lexicographically, so the strict-improvement
     # rule below keeps the smallest active set among near-equal objectives.
     for size in range(m + 1):
         for S in combinations(range(m), size):
-            n_evaluated += 1
             lam = np.zeros(m)
             if S:
                 idx = list(S)
@@ -281,16 +283,7 @@ def exact_qp_project(g, G: ConstraintMatrix) -> ProjectionResult:
                 best_lam = lam
     if best_lam is None:
         raise ValueError("active-set enumeration found no feasible candidate (numerical breakdown)")
-
-    u, dual_value = _dual_at(A, Gg, best_lam)
-    g_tilde = g + u
-    return ProjectionResult(
-        projected_gradient=g_tilde,
-        final_lambda=DualState(np.maximum(best_lam, 0.0)),
-        dual_value=dual_value,
-        iterations_used=n_evaluated,
-        max_violation=_max_violation(G, g_tilde),
-    )
+    return _result(g, A, Gg, best_lam, 2 ** m)
 
 
 def agem_project(g, g_ref) -> np.ndarray:

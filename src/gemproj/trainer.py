@@ -229,18 +229,16 @@ def train_step(state: TrainerState, X, y) -> StepRecord:
     if not np.isfinite(loss) or not np.all(np.isfinite(g)):
         raise _diverged(state, loss, "non-finite loss or gradient")
 
+    rec = StepRecord(task=state.task_index, step=len(state.log.steps), loss=loss,
+                     proj_time=0.0, lambda_norm=0.0, max_violation=0.0,
+                     violation_before=0.0, projected=False, timestamp=0.0)
     past = [t for t in state.buffers.tasks() if t < state.task_index]
     g_tilde = g
     result = None
-    projected = False
-    proj_time = 0.0
-    lambda_norm = 0.0
-    max_violation = 0.0
-    violation_before = 0.0
     if past:
         G = build_constraint_matrix(state.buffers, state.model, past, weights=weights)
-        worst = violation_check(g, G)[1]
-        violation_before = max(0.0, -worst) if np.isfinite(worst) else 0.0
+        # worst is +inf when every past row dropped, and max(0.0, -inf) is 0.0
+        rec.violation_before = max(0.0, -violation_check(g, G)[1])
         if cfg.method == "agem":
             g_ref = _agem_reference_gradient(state, past, weights)
         t0 = time.perf_counter()
@@ -258,14 +256,14 @@ def train_step(state: TrainerState, X, y) -> StepRecord:
                 eta = stepsize(state.sigma, cfg.stepsize_safety)
                 result = pgd_project(g, G, state.dual, eta, cfg.pgd_iterations)
                 state.dual = result.final_lambda  # carry over as warm start
-        projected = cfg.method == "agem" or result is not None
-        proj_time = time.perf_counter() - t0 if projected else 0.0
+        rec.projected = cfg.method == "agem" or result is not None
+        rec.proj_time = time.perf_counter() - t0 if rec.projected else 0.0
         if cfg.method == "agem":
-            max_violation = max(0.0, -float(g_tilde.dot(g_ref)))
+            rec.max_violation = max(0.0, -float(g_tilde.dot(g_ref)))
         elif result is not None:
             g_tilde = result.projected_gradient
-            lambda_norm = float(np.linalg.norm(result.final_lambda.lam))
-            max_violation = result.max_violation
+            rec.lambda_norm = float(np.linalg.norm(result.final_lambda.lam))
+            rec.max_violation = result.max_violation
 
     try:
         new_phi = optimizer_step(state.model.phi, g_tilde, state.opt, cfg)
@@ -276,17 +274,7 @@ def train_step(state: TrainerState, X, y) -> StepRecord:
     if cfg.method != "naive":
         state.buffers.insert(state.task_index, X, y)
 
-    rec = StepRecord(
-        task=state.task_index,
-        step=len(state.log.steps),
-        loss=loss,
-        proj_time=proj_time,
-        lambda_norm=lambda_norm,
-        max_violation=max_violation,
-        violation_before=violation_before,
-        projected=projected,
-        timestamp=time.monotonic(),
-    )
+    rec.timestamp = time.monotonic()
     state.log.add_step(rec)
     return rec
 

@@ -1,7 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from gemproj import adapter_model as am
+from gemproj import trainer
+from gemproj.replay import ReplayBuffer
 
 from oracles import gradient_errors
 
@@ -117,6 +121,18 @@ def test_backward_rejects_bad_labels_and_empty_batch():
         am.backward(model, X, np.array([0, 1, 2, 0, 1, 3]))
     with pytest.raises(ValueError, match="nonempty"):
         am.backward(model, np.zeros((0, 4)), np.zeros(0, dtype=int))
+
+
+@pytest.mark.parametrize("entry", ["backward", "forward", "evaluate", "insert"])
+@pytest.mark.parametrize("shape, labels", [((), 0), ((2, 1, 32), [0, 0])], ids=["0-D", "3-D"])
+def test_a_batch_that_is_neither_a_row_nor_2d_is_refused_naming_its_shape(shape, labels, entry):
+    model, X = small_model(), np.zeros(shape)
+    call = {"backward": lambda: am.backward(model, X, labels),
+            "forward": lambda: am.forward(model, X),
+            "evaluate": lambda: trainer.evaluate(model, X, labels),
+            "insert": lambda: ReplayBuffer().insert(0, X, labels)}[entry]
+    with pytest.raises(ValueError, match=f"got shape {re.escape(str(shape))}"):
+        call()
 
 
 # --- jacobian helpers ---------------------------------------------------------------

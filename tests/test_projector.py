@@ -582,6 +582,16 @@ def test_from_rows_refuses_non_finite_rows_before_dropping_any(bad, normalize, c
     assert caplog.records == []
 
 
+@pytest.mark.parametrize("normalize", [True, False])
+def test_from_rows_keeps_a_finite_row_whose_squares_overflow(normalize, caplog):
+    rows = [[1e200, 1e200], [1.0, 0.0]]
+    with caplog.at_level(logging.WARNING, logger="gemproj.projector"):
+        G = ConstraintMatrix.from_rows(rows, normalize=normalize)
+    assert caplog.records == []
+    want = [[2 ** -0.5, 2 ** -0.5], [1.0, 0.0]] if normalize else rows
+    np.testing.assert_allclose(G.data, want, rtol=1e-15)
+
+
 def test_from_rows_writes_into_its_input_only_when_handed_it():
     rows = np.array([[3.0, 4.0], [1.0, -2.0], [0.0, 2.0]])
     before = rows.copy()

@@ -9,7 +9,7 @@ from gemproj import adapter_model as am
 from gemproj import datagen, trainer
 from gemproj.datagen import StreamSpec, generate_stream
 from gemproj.metrics import compute_all, forgetting
-from gemproj.projector import DEFAULT_ENUM_LIMIT
+from gemproj.projector import DEFAULT_ENUM_LIMIT, ConstraintMatrix
 from gemproj.trainer import (
     NonFiniteLossError,
     OptState,
@@ -228,6 +228,30 @@ def test_memory_evicting_a_past_task_cold_starts_igem_mid_task(monkeypatch):
     np.testing.assert_array_equal(calls[1][0], np.zeros(1))  # cold again after the eviction
     np.testing.assert_array_equal(calls[2][0], calls[1][1])  # then carried over
     assert sigma_calls == [2, 1]  # each cold start also refreshes sigma_hat
+
+
+def test_a_step_whose_past_rows_all_drop(monkeypatch):
+    # task 1's constraint build drops every past row, so G has m = 0
+    def no_rows(buffers, model, past, weights=None):
+        return ConstraintMatrix.empty(model.phi.size)
+
+    recs, phis = {}, {}
+    for method in ("agem", "igem", "gem_exact"):
+        state, rng = _fresh_state(method=method, seed=3), np.random.default_rng(5)
+        start_task(state, 0)
+        for _ in range(2):
+            train_step(state, *_batch(rng))
+        monkeypatch.setattr(trainer, "build_constraint_matrix", no_rows)
+        start_task(state, 1)
+        recs[method] = [train_step(state, *_batch(rng)) for _ in range(2)]
+        phis[method] = state.model.phi.copy()
+        monkeypatch.undo()
+    assert all(r.violation_before == 0.0 for rs in recs.values() for r in rs)
+    assert all(not r.projected and r.proj_time == 0.0 for r in recs["igem"])
+    assert all(r.projected and r.lambda_norm == 0.0 and r.max_violation == 0.0
+               for r in recs["gem_exact"])  # exact_qp_project's identity at m = 0
+    np.testing.assert_array_equal(phis["igem"], phis["gem_exact"])
+    assert all(r.projected for r in recs["agem"])
 
 
 @pytest.mark.parametrize("method", trainer.METHODS)
