@@ -218,33 +218,24 @@ def effective_weights(model: TinyMlp) -> list[np.ndarray]:
     return [layer.effective_weight() for layer in model.layers]
 
 
-def _layer_deltas(model: TinyMlp, X, y, weights=None):
-    """Mean softmax cross-entropy and, per layer, the pair (input, output
-    delta) whose product D' X is that layer's effective-weight gradient;
-    ``weights`` are ``effective_weights(model)`` when the caller already
-    formed them."""
-    X, y = check_batch(model, X, y)
+def _layer_deltas(X: np.ndarray, y: np.ndarray, weights) -> tuple[np.ndarray, list]:
+    """The log-softmax of the logits at ``weights`` (one matrix per layer)
+    and, per layer, the pair (input, output delta) whose product D' X is
+    that layer's weight gradient of the mean softmax cross-entropy.  ``X``
+    and ``y`` are a checked batch (`check_batch`)."""
     n = X.shape[0]
-    W1, W2 = effective_weights(model) if weights is None else weights
+    W1, W2 = weights
     Z1 = X @ W1.T
     H = np.tanh(Z1)
     Z2 = H @ W2.T
     shift = Z2 - Z2.max(axis=1, keepdims=True)
     logZ = shift - np.log(np.exp(shift).sum(axis=1, keepdims=True))
-    loss = float(-logZ[np.arange(n), y].mean())
-    P = np.exp(logZ)
-    D2 = P.copy()
+    D2 = np.exp(logZ)
     D2[np.arange(n), y] -= 1.0
     D2 /= n
     dH = D2 @ W2
     dZ1 = dH * (1.0 - H * H)
-    return loss, [(X, dZ1), (H, D2)]
-
-
-def _loss_and_weight_grads(model: TinyMlp, X, y):
-    """Mean loss and its gradient w.r.t. each layer's effective weight matrix."""
-    loss, deltas = _layer_deltas(model, X, y)
-    return loss, [D.T @ X_in for X_in, D in deltas]
+    return logZ, [(X, dZ1), (H, D2)]
 
 
 def backward(model: TinyMlp, X, y, weights=None, out=None) -> tuple[float, np.ndarray]:
@@ -256,7 +247,8 @@ def backward(model: TinyMlp, X, y, weights=None, out=None) -> tuple[float, np.nd
     written into ``out`` (a contiguous float64 vector of length d_phi)
     when given.
     """
-    loss, deltas = _layer_deltas(model, X, y, weights)
+    X, y = check_batch(model, X, y)
+    logZ, deltas = _layer_deltas(X, y, effective_weights(model) if weights is None else weights)
     out = np.empty(model.phi.size) if out is None else out
     # np.dot writes out= with less call overhead than np.matmul (desk-sized blocks)
     for layer, (X_in, D) in zip(model.layers, deltas):
@@ -264,15 +256,16 @@ def backward(model: TinyMlp, X, y, weights=None, out=None) -> tuple[float, np.nd
         sD = layer.scaling * D
         np.dot(sD.T, X_in @ layer.A.T, out=grad_B)
         np.dot((sD @ layer.B).T, X_in, out=grad_A)
-    return loss, out
+    return float(-logZ[np.arange(len(y)), y].mean()), out
 
 
 def weight_space_gradient(model: TinyMlp, X, y) -> np.ndarray:
     """Loss gradient w.r.t. all effective-weight entries, flattened per
     layer in row-major order (the full-space layout used by the Jacobian
     helpers)."""
-    _, dWs = _loss_and_weight_grads(model, X, y)
-    return _flatten_blocks(dWs)
+    X, y = check_batch(model, X, y)
+    _, deltas = _layer_deltas(X, y, effective_weights(model))
+    return _flatten_blocks([D.T @ X_in for X_in, D in deltas])
 
 
 def _split_weight_space(model: TinyMlp, g_full: np.ndarray) -> list[np.ndarray]:
@@ -313,14 +306,20 @@ def jacobian_apply(model: TinyMlp, dphi) -> np.ndarray:
 # --- base-weight pretraining --------------------------------------------------
 
 def pretrain_base(model: TinyMlp, X, y, steps: int, lr: float, seed: int = 0):
-    """Train the dense base weights directly (adapters untouched) on a pooled
-    generic batch stream, then leave them frozen for continual training."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    rng = np.random.default_rng([seed, 0x9E7])
+    """Train the dense base weights directly on a pooled generic batch
+    stream, then leave them frozen for continual training.
+
+    Pretraining trains the bare base: its gradients are taken at W0 alone,
+    so a model whose adapters already move it (any B != 0) is refused.
+    The adapters are left untouched."""
+    if any(layer.B.any() for layer in model.layers):
+        raise ValueError("pretrain_base trains the bare base: every adapter B must be zero")
+    X, y = check_batch(model, X, y)
+    W0s = [layer.W0 for layer in model.layers]  # live: the updates below write them in place
     n = X.shape[0]
-    for _ in range(steps):
-        idx = rng.integers(0, n, size=min(PRETRAIN_BATCH_SIZE, n))
-        _, dWs = _loss_and_weight_grads(model, X[idx], y[idx])
-        for layer, dW in zip(model.layers, dWs):
-            layer.W0 -= lr * dW
+    # one draw of every step's rows: the same integers as one draw per step
+    batches = np.random.default_rng([seed, 0x9E7]).integers(0, n, size=(steps, min(PRETRAIN_BATCH_SIZE, n)))
+    for idx in batches:
+        _, deltas = _layer_deltas(X[idx], y[idx], W0s)
+        for W0, (X_in, D) in zip(W0s, deltas):
+            W0 -= lr * (D.T @ X_in)

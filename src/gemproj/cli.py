@@ -8,17 +8,22 @@ Flags mirror the TrainConfig and StreamSpec field names but GRID_OWNED's,
 and are the only way to give a setting.
 Worker count for the run grid comes from the GEMPROJ_WORKERS environment
 variable (an integer >= 1, clamped to the number of cells).
+Each seed's stream and pretrained base are set up once per process that
+runs its cells (the grid runs seed-major), and every cell trains a copy.
 Exit codes: 0 success, 2 usage error, 3 a run diverged (its cell writes
 run_<method>_seed<seed>.failed.json with the config echo and diagnostics;
 the other cells still write their documents), 4 a grid worker was lost
 (each cell it left without a result runs once more in a worker of its own,
-and a cell whose worker dies again writes a .failed.json naming the loss;
-4 wins when a run also diverged).  Code 1 is retired.
+and a cell whose worker dies again writes a .failed.json naming the loss),
+5 a result file could not be written (the error line names its path and
+the reason; the other cells and aggregate.json are still written).  When
+several apply, the highest code wins.  Code 1 is retired.
 """
 
 from __future__ import annotations
 
 import argparse
+import copy
 import dataclasses
 import os
 import sys
@@ -40,6 +45,7 @@ from .trainer import NonFiniteLossError, TrainConfig, prepare_model, run_experie
 USAGE_ERROR = 2
 RUN_DIVERGED = 3
 WORKER_LOST = 4
+WRITE_FAILED = 5
 
 
 class CliError(Exception):
@@ -115,13 +121,31 @@ def _read_data(path: str, config: TrainConfig, spec: StreamSpec) -> np.ndarray:
     return table
 
 
+# The last seed set up in this process: {spec: (stream, pretrained model)},
+# one entry at most.  A grid runs its cells seed-major, so the serial path and
+# each pool worker set a seed up about once; `_outputs` empties it at the end.
+_setups: dict = {}
+
+
+def _seed_setup(spec: StreamSpec, table: np.ndarray | None):
+    """The stream for ``spec`` (``table`` split with its seed, or the synthetic
+    stream) and a deep copy of its pretrained model, set up only when the last
+    setup in this process was for another spec."""
+    if spec not in _setups:
+        _setups.clear()  # the old seed's setup is freed before the new one is made
+        stream = generate_stream(spec) if table is None else split_table(table, spec.seed)
+        _setups[spec] = stream, prepare_model(spec, spec.seed)
+    stream, model = _setups[spec]
+    return stream, copy.deepcopy(model)
+
+
 def execute_run(config: TrainConfig, spec: StreamSpec, table: np.ndarray | None):
     """One (method, seed) cell; top-level so grid workers can pickle it.
-    ``table`` is the parsed data CSV (``read_csv``), split here with the
-    cell's seed, or None for the synthetic stream.  Returns (result
-    document, run log), or (failure document, None) when the run diverged."""
-    stream = generate_stream(spec) if table is None else split_table(table, config.seed)
-    model = prepare_model(spec, config.seed)
+    ``table`` is the parsed data CSV (``read_csv``), split with the cell's
+    seed, or None for the synthetic stream; the cell trains a copy of the
+    seed's pretrained model (`_seed_setup`).  Returns (result document,
+    run log), or (failure document, None) when the run diverged."""
+    stream, model = _seed_setup(spec, table)
     try:
         matrix, log = run_experiences(config, stream, model)
     except NonFiniteLossError as e:
@@ -131,21 +155,34 @@ def execute_run(config: TrainConfig, spec: StreamSpec, table: np.ndarray | None)
 
 def _outputs(cells, table, workers: int):
     """Each cell's ``execute_run`` output in grid order, as it becomes
-    available.  A cell that a lost worker left without a result (its worker
-    died, or the broken pool never ran it) runs once more, alone in a fresh
-    one-worker pool, so a cell that kills its worker costs only itself; if
+    available.  Cells run seed-major, so each seed is set up once on the
+    serial path and about once per worker on a pool.  A cell that a lost
+    worker left without a result (its worker died, or the broken pool never
+    ran it) runs once more, alone in a fresh one-worker pool that sets its
+    seed up again, so a cell that kills its worker costs only itself; if
     that worker dies too, the cell yields its BrokenProcessPool."""
-    if workers == 1:
-        yield from (execute_run(cfg, spec, table) for cfg, spec in cells)
-        return
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(execute_run, cfg, spec, table) for cfg, spec in cells]
-        for (cfg, spec), future in zip(cells, futures):
-            try:
-                output = future.result()
-            except BrokenProcessPool:
-                output = _run_alone(cfg, spec, table)
-            yield output
+    order = sorted(range(len(cells)), key=lambda i: cells[i][1].seed)
+    try:
+        if workers == 1:
+            done, next_cell = {}, 0
+            for i in order:
+                done[i] = execute_run(*cells[i], table)
+                while next_cell in done:
+                    yield done.pop(next_cell)
+                    next_cell += 1
+            return
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [None] * len(cells)
+            for i in order:
+                futures[i] = pool.submit(execute_run, *cells[i], table)
+            for (cfg, spec), future in zip(cells, futures):
+                try:
+                    output = future.result()
+                except BrokenProcessPool:
+                    output = _run_alone(cfg, spec, table)
+                yield output
+    finally:
+        _setups.clear()
 
 
 def _run_alone(cfg: TrainConfig, spec: StreamSpec, table: np.ndarray | None):
@@ -183,24 +220,37 @@ def cmd_run(args) -> int:
         raise CliError(f"--out {out_dir}: cannot make the output directory: {e.strerror}") from None
 
     per_method: dict[str, list[dict]] = {}
-    failures, code = [], 0
+    failures, unwritten, code = [], [], 0
+
+    def wrote(*files) -> bool:
+        """Write each (name, writer, payload) into the output directory,
+        stopping at the first OSError, which is reported; True if all were."""
+        for name, writer, payload in files:
+            path = os.path.join(out_dir, name)
+            try:
+                writer(path, payload)
+            except OSError as e:
+                unwritten.append(f"cannot write {path}: {e.strerror or e}")
+                return False
+        return True
+
     for (cfg, spec), output in zip(cells, _outputs(cells, table, workers)):
         stem = f"run_{cfg.method}_seed{cfg.seed}"
         lost = isinstance(output, BrokenProcessPool)
         doc, log = (build_run_failure(cfg, spec, f"grid worker lost: {output}"), None) if lost else output
         if log is None:
             path = os.path.join(out_dir, stem + ".failed.json")
-            write_json(path, doc)
-            print(f"wrote {stem}.failed.json  {doc['error']}")
             failures.append(f"{stem}{'' if lost else ' diverged'}: {doc['error']} (see {path})")
             code = max(code, WORKER_LOST if lost else RUN_DIVERGED)
-            continue
-        write_json(os.path.join(out_dir, stem + ".json"), doc)
-        write_curves_csv(os.path.join(out_dir, stem + "_curves.csv"), log)
-        per_method.setdefault(cfg.method, []).append(doc)
-        print(f"wrote {stem}.json  avg_acc={doc['metrics']['avg_acc']:.4f}")
-    write_json(os.path.join(out_dir, "aggregate.json"), build_aggregate(per_method))
-    print(f"wrote aggregate.json ({len(cells) - len(failures)} runs)")
+            if wrote((stem + ".failed.json", write_json, doc)):
+                print(f"wrote {stem}.failed.json  {doc['error']}")
+        elif wrote((stem + ".json", write_json, doc), (stem + "_curves.csv", write_curves_csv, log)):
+            per_method.setdefault(cfg.method, []).append(doc)
+            print(f"wrote {stem}.json  avg_acc={doc['metrics']['avg_acc']:.4f}")
+    if wrote(("aggregate.json", write_json, build_aggregate(per_method))):
+        print(f"wrote aggregate.json ({sum(map(len, per_method.values()))} runs)")
+    if unwritten:
+        failures, code = failures + unwritten, WRITE_FAILED
     if failures:
         print("error: " + "; ".join(failures), file=sys.stderr)
     return code
@@ -209,7 +259,11 @@ def cmd_run(args) -> int:
 def cmd_gen_data(args) -> int:
     _output_file(args.out)
     stream = generate_stream(StreamSpec(**_collect_overrides(args, StreamSpec)))
-    dump_csv(stream, args.out)
+    try:
+        dump_csv(stream, args.out)
+    except OSError as e:
+        print(f"error: cannot write {args.out}: {e.strerror or e}", file=sys.stderr)
+        return WRITE_FAILED
     total = sum(s.n_train + s.n_test for s in stream)
     print(f"wrote {args.out}: {len(stream)} experiences, {total} rows")
     return 0

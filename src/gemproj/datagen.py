@@ -108,12 +108,18 @@ class ExperienceSplit:
         return len(self.test_y)
 
 
-def _split_key(seed: int, experience_id: int, row_index: int) -> int:
-    """Stable per-row sort key; a pure function of (seed, exp id, row index)."""
-    digest = hashlib.blake2b(
-        f"{seed}:{experience_id}:{row_index}".encode(), digest_size=8
-    ).digest()
-    return int.from_bytes(digest, "little")
+def _split_keys(seed: int, experience_id: int, row_indices) -> np.ndarray:
+    """Stable per-row sort keys, a pure function of (seed, exp id, row index):
+    row r's key is the little-endian uint64 of the 8-byte blake2b digest of
+    ``f"{seed}:{experience_id}:{r}"``.  The shared prefix is hashed once and
+    each row continues a copy of that state."""
+    prefix = hashlib.blake2b(b"%d:%d:" % (seed, experience_id), digest_size=8)
+    digests = []
+    for r in np.asarray(row_indices).tolist():
+        h = prefix.copy()
+        h.update(b"%d" % r)
+        digests.append(h.digest())
+    return np.frombuffer(b"".join(digests), dtype="<u8")
 
 
 def split_80_20(seed: int, experience_id: int, row_indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -125,11 +131,8 @@ def split_80_20(seed: int, experience_id: int, row_indices: np.ndarray) -> tuple
     if n < 2:
         raise ValueError(f"experience {experience_id} needs at least 2 rows to split")
     n_test = max(1, math.floor(TEST_FRACTION * n))
-    # exact 64-bit keys: np.array over Python ints on both sides of 2**63 makes
-    # float64, which ties keys that differ only in their low bits
-    keys = np.fromiter((_split_key(seed, experience_id, int(r)) for r in row_indices),
-                       dtype=np.uint64, count=n)
-    order = np.argsort(keys, kind="stable")
+    # exact 64-bit keys: float64 would tie keys that differ only in their low bits
+    order = np.argsort(_split_keys(seed, experience_id, row_indices), kind="stable")
     test_pos = np.sort(order[:n_test])
     train_pos = np.sort(order[n_test:])
     return train_pos, test_pos

@@ -76,10 +76,6 @@ class ConstraintMatrix:
         return self.data.shape[1]
 
     @classmethod
-    def empty(cls, dim: int) -> "ConstraintMatrix":
-        return cls(np.zeros((0, dim)))
-
-    @classmethod
     def from_rows(cls, rows, normalize: bool = False, in_place: bool = False) -> "ConstraintMatrix":
         """Stack gradient rows, refusing non-finite ones, dropping zero rows
         (logged) and optionally scaling the survivors to unit norm.  ``rows``
@@ -89,14 +85,17 @@ class ConstraintMatrix:
         with np.errstate(over="ignore"):
             norms = np.linalg.norm(arr, axis=1)
         # a NaN or inf entry leaves its row's norm non-finite, but so can finite
-        # entries whose squares overflow: only then are the entries scanned, and
-        # such a row's norm is retaken on the row scaled by its largest magnitude
+        # entries whose squares overflow: only then are the entries scanned.  Such
+        # a row is kept, and to normalise it, it is first divided by its largest
+        # magnitude (its true norm may exceed the float64 maximum)
         if not np.all(np.isfinite(norms)):
             if not np.all(np.isfinite(arr)):
                 raise ValueError("non-finite values in constraint matrix")
-            for i in np.flatnonzero(np.isinf(norms)):
-                s = np.abs(arr[i]).max()
-                norms[i] = s * np.linalg.norm(arr[i] / s)
+            if normalize:
+                arr = arr if in_place else arr.copy()
+                for i in np.flatnonzero(np.isinf(norms)):
+                    arr[i] /= np.abs(arr[i]).max()
+                    norms[i] = np.linalg.norm(arr[i])
         keep = norms > 0.0
         dropped = tuple(int(i) for i in np.flatnonzero(~keep))
         if dropped:

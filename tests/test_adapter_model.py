@@ -307,3 +307,31 @@ def test_pretrain_base_improves_pooled_accuracy_and_keeps_adapters():
     for layer, A in zip(model.layers, A_before):
         np.testing.assert_array_equal(layer.A, A)
         np.testing.assert_array_equal(layer.B, np.zeros_like(layer.B))
+
+
+@pytest.mark.parametrize("n", [50, 21])
+def test_pretrain_base_steps_are_the_weight_gradient_at_the_bare_base(n):
+    # each step draws min(32, n) rows, and an odd draw leaves half a 64-bit word
+    X, y = small_batch(seed=4, n=n)
+    model = small_model()
+    before = [l.W0.copy() for l in model.layers]
+    am.pretrain_base(model, X, y, steps=3, lr=0.1, seed=9)
+    ref, rng = small_model(), np.random.default_rng([9, 0x9E7])
+    for _ in range(3):
+        idx = rng.integers(0, n, size=min(am.PRETRAIN_BATCH_SIZE, n))
+        dWs = am._split_weight_space(ref, am.weight_space_gradient(ref, X[idx], y[idx]))
+        for layer, dW in zip(ref.layers, dWs):
+            layer.W0 -= 0.1 * dW
+    for layer, want, W0 in zip(model.layers, ref.layers, before):
+        assert not np.array_equal(layer.W0, W0)
+        np.testing.assert_array_equal(layer.W0, want.W0)
+
+
+def test_pretrain_base_refuses_a_model_whose_adapters_move_it():
+    X, y = small_batch(n=10)
+    model = small_model(perturb=0.1)
+    before = [l.W0.copy() for l in model.layers]
+    with pytest.raises(ValueError, match="every adapter B must be zero"):
+        am.pretrain_base(model, X, y, steps=3, lr=0.1)
+    for layer, W0 in zip(model.layers, before):
+        np.testing.assert_array_equal(layer.W0, W0)

@@ -20,7 +20,7 @@ def test_identity_path_has_negligible_overhead():
     # with no constraints every projector returns g untouched
     d = 50_000
     g = np.random.default_rng(0).standard_normal(d)
-    G = ConstraintMatrix.empty(d)
+    G = ConstraintMatrix(np.zeros((0, d)))
     warm = DualState.cold(0)
     stats = time_round_robin([lambda: agem_project(g, np.zeros(d)),
                               lambda: pgd_project(g, G, warm, 1.0, 3),

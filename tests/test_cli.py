@@ -180,6 +180,57 @@ def test_cli_run_writes_results_and_aggregate(tmp_path, capsys):
     assert agg["methods"]["igem"]["metrics"]["avg_acc"]["n"] == 2
 
 
+def test_cli_serial_grid_sets_each_seed_up_once_and_trains_each_cell_on_a_copy(tmp_path, monkeypatch, capsys):
+    import gemproj.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli, "prepare_model", lambda spec, seed: calls.append(seed) or prepare_model(spec, seed))
+    monkeypatch.delenv("GEMPROJ_WORKERS", raising=False)
+    assert run_cli("run", "--methods", "naive,agem,igem", "--seeds", "3,1", "--out", str(tmp_path),
+                   "--n-per-experience", "200", "--feature-dim", "8") == 0
+    assert sorted(calls) == [1, 3]
+    # the grid runs seed-major, but its documents are written in grid order
+    wrote = [line.split()[1] for line in capsys.readouterr().out.splitlines()]
+    assert wrote == [f"run_{m}_seed{s}.json" for m in ("naive", "agem", "igem") for s in (3, 1)] + [
+        "aggregate.json"]
+    # each cell trained the pretrained model as a cell set up on its own would
+    for method in ("naive", "agem", "igem"):
+        for seed in (3, 1):
+            spec = StreamSpec(seed=seed, n_per_experience=200, feature_dim=8)
+            cfg = TrainConfig(method=method, seed=seed)
+            matrix, _ = run_experiences(cfg, generate_stream(spec), prepare_model(spec, seed))
+            doc = json.loads((tmp_path / f"run_{method}_seed{seed}.json").read_text())
+            assert doc["accuracy_matrix"] == matrix.R.tolist()
+
+
+def test_cli_result_that_cannot_be_written_exits_5_and_writes_the_rest(tmp_path, capsys):
+    out = tmp_path / "o"
+    (out / "run_naive_seed1.json").mkdir(parents=True)
+    code = run_cli("run", "--methods", "naive,igem", "--seeds", "0,1", "--out", str(out),
+                   "--n-per-experience", "200", "--feature-dim", "8")
+    assert code == 5
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write {out / 'run_naive_seed1.json'}: Is a directory\n"
+    for stem in ("run_naive_seed0", "run_igem_seed0", "run_igem_seed1"):
+        assert (out / f"{stem}.json").is_file() and (out / f"{stem}_curves.csv").is_file()
+    assert not (out / "run_naive_seed1_curves.csv").exists()
+    assert not [p.name for p in out.iterdir() if p.name.startswith(".tmp_")]
+    agg = json.loads((out / "aggregate.json").read_text())
+    assert {m: block["seeds"] for m, block in agg["methods"].items()} == {"naive": [0], "igem": [0, 1]}
+
+
+def test_cli_gen_data_write_failure_exits_5_naming_the_path(tmp_path, monkeypatch, capsys):
+    import gemproj.cli as cli
+
+    def refused(stream, path):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(cli, "dump_csv", refused)
+    out = tmp_path / "g.csv"
+    assert run_cli("gen-data", "--out", str(out), "--n-per-experience", "10") == 5
+    assert capsys.readouterr().err == f"error: cannot write {out}: Permission denied\n"
+
+
 def test_cli_run_is_byte_deterministic(tmp_path):
     outs = []
     for sub in ("a", "b"):

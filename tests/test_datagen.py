@@ -1,4 +1,5 @@
 import csv
+import hashlib
 
 import numpy as np
 import pytest
@@ -98,10 +99,22 @@ def test_split_orders_keys_above_2_63_by_their_low_bits(monkeypatch):
     # 2**63 + 2 and 2**63 + 1 are one float64; as exact 64-bit keys the
     # second is smaller and its row joins the small key's row in the test split
     keys = {0: 2 ** 63 + 2, 1: 2 ** 63 + 1, 2: 5}
-    monkeypatch.setattr(datagen, "_split_key", lambda seed, exp, row: keys.get(row, 2 ** 64 - 1 - row))
+    monkeypatch.setattr(datagen, "_split_keys", lambda seed, exp, rows: np.array(
+        [keys.get(row, 2 ** 64 - 1 - row) for row in rows.tolist()], dtype=np.uint64))
     train, test = split_80_20(0, 0, np.arange(10))
     np.testing.assert_array_equal(test, [1, 2])
     np.testing.assert_array_equal(train, [0, 3, 4, 5, 6, 7, 8, 9])
+
+
+@pytest.mark.parametrize("seed", [0, 12345])
+def test_split_keys_are_the_per_row_blake2b_keys(seed):
+    rows = np.array([0, 9, 10, 10 ** 6, 2 ** 40])
+    for exp in (0, 3):
+        want = [int.from_bytes(hashlib.blake2b(f"{seed}:{exp}:{r}".encode(), digest_size=8).digest(),
+                               "little") for r in rows.tolist()]
+        keys = datagen._split_keys(seed, exp, rows)
+        assert keys.dtype == np.uint64
+        assert keys.tolist() == want
 
 
 def test_split_counts_floor_with_minimum_one():

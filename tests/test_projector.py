@@ -80,7 +80,7 @@ def test_pgd_identity_two_constraints_single_step():
 
 def test_pgd_empty_constraints_is_identity():
     g = np.array([3.0, -4.0])
-    res = pgd_project(g, ConstraintMatrix.empty(2), DualState.cold(0), eta=1.0, K=5)
+    res = pgd_project(g, ConstraintMatrix(np.zeros((0, 2))), DualState.cold(0), eta=1.0, K=5)
     np.testing.assert_array_equal(res.projected_gradient, g)
     assert res.final_lambda.lam.size == 0
     assert res.iterations_used == 0
@@ -455,7 +455,7 @@ def test_violation_check_examples():
 
 
 def test_violation_check_empty_matrix():
-    violated, worst = violation_check([1.0, 2.0], ConstraintMatrix.empty(2))
+    violated, worst = violation_check([1.0, 2.0], ConstraintMatrix(np.zeros((0, 2))))
     assert violated is False and worst == np.inf
 
 
@@ -472,7 +472,7 @@ ENTRY_POINTS = {
 @pytest.mark.parametrize("m", [0, 3])
 @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
 def test_wrong_length_gradient_is_rejected(name, m):
-    G = ConstraintMatrix.empty(5) if m == 0 else cm(np.eye(m, 5))
+    G = ConstraintMatrix(np.zeros((0, 5))) if m == 0 else cm(np.eye(m, 5))
     with pytest.raises(ValueError, match="gradient has length 4, expected d=5"):
         ENTRY_POINTS[name](np.ones(4), G)
 
@@ -590,6 +590,20 @@ def test_from_rows_keeps_a_finite_row_whose_squares_overflow(normalize, caplog):
     assert caplog.records == []
     want = [[2 ** -0.5, 2 ** -0.5], [1.0, 0.0]] if normalize else rows
     np.testing.assert_allclose(G.data, want, rtol=1e-15)
+
+
+def test_from_rows_normalizes_a_row_whose_norm_exceeds_the_float64_maximum():
+    # the norm of [1.5e308, 1.5e308] is about 2.1e308 > 1.8e308: only the row
+    # scaled by its largest magnitude has a norm to divide by
+    rows = np.array([[1.5e308, 1.5e308], [1.0, 0.0], [-1.7e308, 1e308]])
+    before = rows.copy()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        G = ConstraintMatrix.from_rows(rows, normalize=True)
+    assert np.array_equal(rows, before)
+    np.testing.assert_allclose(np.linalg.norm(G.data, axis=1), 1.0, rtol=1e-15)
+    np.testing.assert_allclose(G.data[0], [2 ** -0.5, 2 ** -0.5], rtol=1e-15)
+    np.testing.assert_allclose(G.data[2], [-1.7, 1.0] / np.hypot(1.7, 1.0), rtol=1e-15)
 
 
 def test_from_rows_writes_into_its_input_only_when_handed_it():

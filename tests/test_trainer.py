@@ -233,7 +233,7 @@ def test_memory_evicting_a_past_task_cold_starts_igem_mid_task(monkeypatch):
 def test_a_step_whose_past_rows_all_drop(monkeypatch):
     # task 1's constraint build drops every past row, so G has m = 0
     def no_rows(buffers, model, past, weights=None):
-        return ConstraintMatrix.empty(model.phi.size)
+        return ConstraintMatrix(np.zeros((0, model.phi.size)))
 
     recs, phis = {}, {}
     for method in ("agem", "igem", "gem_exact"):
