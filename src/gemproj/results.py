@@ -26,7 +26,7 @@ from .datagen import StreamSpec
 from .metrics import AccuracyMatrix, aggregate, compute_all
 from .trainer import RunLog, StepRecord, TrainConfig
 
-SCHEMA_VERSION = "8"
+SCHEMA_VERSION = "9"
 
 # The BLAS threading settings, read once when numpy loads; they can change
 # the bits of a long dot product, so a run document names them.

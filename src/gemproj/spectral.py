@@ -1,9 +1,9 @@
 """Spectral-norm estimation for the dual stepsize.
 
 The dual gradient is Lipschitz with constant L = sigma_max(G G'); a few
-steps of power iteration give a Rayleigh-quotient estimate that never
-exceeds the true value, so the stepsize c / sigma_hat with c < 1 keeps
-the dual descent stable even when the estimate is loose.
+steps of power iteration give a matrix-free Rayleigh-quotient estimate
+that never exceeds the true value, so the stepsize c / sigma_hat with c < 1
+keeps the dual descent stable even when the estimate is loose.
 """
 
 from __future__ import annotations
@@ -48,9 +48,10 @@ def power_iteration(G: ConstraintMatrix, iters: int = DEFAULT_POWER_ITERS, seed:
 
 
 def stepsize(sigma: float, c: float = DEFAULT_SAFETY) -> float:
-    """Safety-factored dual stepsize c / sigma_hat with c in (0, 1]."""
+    """Safety-factored dual stepsize c / sigma_hat with c in (0, 1]; it must be finite and > 0."""
     if not 0.0 < c <= 1.0:
         raise ValueError(f"safety factor c must be in (0, 1], got {c}")
-    if not sigma > 0.0:
-        raise ValueError("sigma_hat must be > 0 (skip projection when 0)")
-    return c / sigma
+    eta = c / float(sigma) if sigma > 0.0 else 0.0
+    if not 0.0 < eta < np.inf:
+        raise ValueError(f"sigma_hat must be > 0 and give a finite c / sigma_hat, got {sigma}")
+    return eta

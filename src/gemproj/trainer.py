@@ -5,9 +5,9 @@ constraint matrix from replay buffers, projection of the raw adapter
 gradient by the configured method, optimizer step on phi, buffer update
 for the current task (only the methods that replay the memory keep one;
 naive keeps none), and warm-start carryover of the dual multipliers.
-igem takes the spectral estimate behind its dual stepsize at each cold start
-of the multipliers (a task's first projection, or a change in the constraint
-count); the warm-started projections after it reuse that estimate.
+igem's dual stepsize is c / lambda_max(G G'), from the eigenvalues of the
+m x m Gram of each projection's own G.  A step whose G has no rows (m = 0)
+is not projected by igem or gem_exact.
 The projection always applies to the raw gradient, before any optimizer
 preconditioning; with adamw the non-interference certificate therefore
 holds pre-preconditioning only.
@@ -33,6 +33,7 @@ from .projector import (
     violation_check,
 )
 from .replay import DEFAULT_CAPACITY_PER_TASK, DEFAULT_TOTAL_CAP, ReplayBuffer, build_constraint_matrix
+# power_iteration is not called here: it stays bound because perfbench/spans.py patches trainer.power_iteration
 from .spectral import DEFAULT_SAFETY, power_iteration, stepsize
 
 METHODS = ("naive", "gem_exact", "agem", "igem")
@@ -66,7 +67,7 @@ class TrainConfig:
     method: str = "igem"
     lr: float = 0.001
     pgd_iterations: int = 3          # K, the fixed dual-PGD budget
-    stepsize_safety: float = DEFAULT_SAFETY  # c in eta = c / sigma_hat
+    stepsize_safety: float = DEFAULT_SAFETY  # c in eta = c / λ_max(GG′)
     train_mb_size: int = 32
     eval_mb_size: int = 50           # A-GEM's reference batch size
     n_experiences: int = 3
@@ -165,8 +166,7 @@ class TrainerState:
     rng: np.random.Generator
     opt: OptState = field(default_factory=OptState)
     log: RunLog = field(default_factory=RunLog)
-    dual: DualState | None = None
-    sigma: float | None = None       # igem's sigma_max(G G') estimate, taken at the cold start
+    dual: DualState | None = None    # igem's multipliers, carried over between projections
     task_index: int = 0
 
 
@@ -183,8 +183,7 @@ def make_state(config: TrainConfig, model: am.TinyMlp) -> TrainerState:
 
 def start_task(state: TrainerState, task_index: int):
     """Task-boundary bookkeeping: drop the dual multipliers, so igem's next
-    projection cold-starts (``train_step`` sizes them and takes a fresh
-    spectral estimate)."""
+    projection cold-starts (``train_step`` sizes them)."""
     state.task_index = task_index
     state.dual = None
 
@@ -222,7 +221,7 @@ def train_step(state: TrainerState, X, y) -> StepRecord:
     optimizer update, buffer update, warm-start carryover); only the methods
     that replay the memory insert the batch, so naive keeps none.  The effective
     weights are formed once and shared by every backward pass of the step.
-    ``proj_time`` times the method's projection alone, igem's cold-start sigma_hat included."""
+    ``proj_time`` times the method's projection alone, igem's Gram eigensolve included."""
     cfg = state.config
     weights = am.effective_weights(state.model)
     loss, g = am.backward(state.model, X, y, weights=weights)
@@ -244,18 +243,16 @@ def train_step(state: TrainerState, X, y) -> StepRecord:
         t0 = time.perf_counter()
         if cfg.method == "agem":
             g_tilde = agem_project(g, g_ref)
-        elif cfg.method == "gem_exact":
-            result = exact_qp_project(g, G)
-        else:  # igem
+        elif cfg.method == "igem":
             if state.dual is None or state.dual.lam.shape[0] != G.rows:
-                # the one cold start and spectral estimate: a new task, or a constraint count
-                # changed mid-task (a zero-norm row dropped, or the memory evicted a past task)
+                # cold start: a new task, or m changed mid-task (a row dropped, a task evicted, to or from 0)
                 state.dual = DualState.cold(G.rows)
-                state.sigma = power_iteration(G, seed=cfg.seed)
-            if state.sigma > 0.0:
-                eta = stepsize(state.sigma, cfg.stepsize_safety)
+            if G.rows:
+                eta = stepsize(float(np.linalg.eigvalsh(G.data @ G.data.T)[-1]), cfg.stepsize_safety)
                 result = pgd_project(g, G, state.dual, eta, cfg.pgd_iterations)
                 state.dual = result.final_lambda  # carry over as warm start
+        elif G.rows:  # gem_exact
+            result = exact_qp_project(g, G)
         rec.projected = cfg.method == "agem" or result is not None
         rec.proj_time = time.perf_counter() - t0 if rec.projected else 0.0
         if cfg.method == "agem":

@@ -53,7 +53,7 @@ def test_config_echo_round_trips():
 
 def test_run_result_document_shape():
     doc, _ = small_doc()
-    assert doc["schema_version"] == "8"
+    assert doc["schema_version"] == "9"
     assert doc["kind"] == "run_result"
     R = np.array(doc["accuracy_matrix"])
     assert R.shape == (4, 3)

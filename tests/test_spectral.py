@@ -77,7 +77,8 @@ def test_stepsize_rejects_bad_config():
         stepsize(0.0, c=0.7)
 
 
-@pytest.mark.parametrize("sigma", [float("nan"), np.float64("nan")])
+# inf would give eta = 0 and 1e-320 an eta that overflows to inf
+@pytest.mark.parametrize("sigma", [float("nan"), np.float64("nan"), float("inf"), 1e-320])
 def test_stepsize_rejects_nan_sigma(sigma):
     with pytest.raises(ValueError, match="sigma_hat must be > 0"):
         stepsize(sigma, c=0.7)

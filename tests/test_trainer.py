@@ -197,20 +197,15 @@ def test_warm_start_lifecycle(monkeypatch):
 def test_memory_evicting_a_past_task_cold_starts_igem_mid_task(monkeypatch):
     # memory_size 2 keeps one row each of tasks 0 and 1 into task 2; its
     # first insert then water-fills task 0 out, so m drops from 2 to 1
-    real_pgd, real_power = trainer.pgd_project, trainer.power_iteration
-    calls, sigma_calls = [], []  # (lam handed in, final lam) per projection; G.rows per estimate
+    real_pgd = trainer.pgd_project
+    calls = []  # (lam handed in, final lam) per projection
 
     def recording_pgd(g, G, warm, *args, **kwargs):
         res = real_pgd(g, G, warm, *args, **kwargs)
         calls.append((warm.lam.copy(), res.final_lambda.lam.copy()))
         return res
 
-    def recording_power(G, **kwargs):
-        sigma_calls.append(G.rows)
-        return real_power(G, **kwargs)
-
     monkeypatch.setattr(trainer, "pgd_project", recording_pgd)
-    monkeypatch.setattr(trainer, "power_iteration", recording_power)
     state = _fresh_state(method="igem", seed=3, memory_size=2)
     rng = np.random.default_rng(5)
     for task in (0, 1):
@@ -220,38 +215,65 @@ def test_memory_evicting_a_past_task_cold_starts_igem_mid_task(monkeypatch):
     start_task(state, 2)
     assert state.buffers.tasks() == [0, 1]
     calls.clear()
-    sigma_calls.clear()
     for _ in range(3):
         train_step(state, *_batch(rng))
     assert state.buffers.tasks() == [1, 2]
     np.testing.assert_array_equal(calls[0][0], np.zeros(2))  # the new task starts cold
     np.testing.assert_array_equal(calls[1][0], np.zeros(1))  # cold again after the eviction
     np.testing.assert_array_equal(calls[2][0], calls[1][1])  # then carried over
-    assert sigma_calls == [2, 1]  # each cold start also refreshes sigma_hat
+
+
+def _no_rows(buffers, model, past, weights=None):
+    # a constraint build that drops every past row, so G has m = 0
+    return ConstraintMatrix(np.zeros((0, model.phi.size)))
 
 
 def test_a_step_whose_past_rows_all_drop(monkeypatch):
-    # task 1's constraint build drops every past row, so G has m = 0
-    def no_rows(buffers, model, past, weights=None):
-        return ConstraintMatrix(np.zeros((0, model.phi.size)))
-
+    # igem and gem_exact leave an m = 0 step unprojected and record it alike;
+    # agem still projects against its replay reference
     recs, phis = {}, {}
     for method in ("agem", "igem", "gem_exact"):
         state, rng = _fresh_state(method=method, seed=3), np.random.default_rng(5)
         start_task(state, 0)
         for _ in range(2):
             train_step(state, *_batch(rng))
-        monkeypatch.setattr(trainer, "build_constraint_matrix", no_rows)
         start_task(state, 1)
-        recs[method] = [train_step(state, *_batch(rng)) for _ in range(2)]
+        with monkeypatch.context() as patch:
+            patch.setattr(trainer, "build_constraint_matrix", _no_rows)
+            recs[method] = [dataclasses.replace(train_step(state, *_batch(rng)), timestamp=0.0)
+                            for _ in range(2)]
         phis[method] = state.model.phi.copy()
-        monkeypatch.undo()
     assert all(r.violation_before == 0.0 for rs in recs.values() for r in rs)
     assert all(not r.projected and r.proj_time == 0.0 for r in recs["igem"])
-    assert all(r.projected and r.lambda_norm == 0.0 and r.max_violation == 0.0
-               for r in recs["gem_exact"])  # exact_qp_project's identity at m = 0
+    assert recs["igem"] == recs["gem_exact"]
     np.testing.assert_array_equal(phis["igem"], phis["gem_exact"])
     assert all(r.projected for r in recs["agem"])
+
+
+def test_an_igem_step_after_an_m0_step_cold_starts(monkeypatch):
+    real_pgd = trainer.pgd_project
+    handed_in = []  # lam handed in per projection
+
+    def recording_pgd(g, G, warm, *args, **kwargs):
+        handed_in.append(warm.lam.copy())
+        return real_pgd(g, G, warm, *args, **kwargs)
+
+    monkeypatch.setattr(trainer, "pgd_project", recording_pgd)
+    state, rng = _fresh_state(method="igem", seed=3), np.random.default_rng(0)
+    start_task(state, 0)
+    for _ in range(2):
+        train_step(state, *_batch(rng))
+    start_task(state, 1)
+    for _ in range(2):
+        train_step(state, *_batch(rng))
+    warm = state.dual.lam.copy()
+    assert warm.shape == (1,) and warm[0] > 0.0  # what a warm start would carry over
+    with monkeypatch.context() as patch:
+        patch.setattr(trainer, "build_constraint_matrix", _no_rows)
+        assert not train_step(state, *_batch(rng)).projected
+    assert train_step(state, *_batch(rng)).projected
+    assert len(handed_in) == 3
+    np.testing.assert_array_equal(handed_in[-1], np.zeros(1))
 
 
 @pytest.mark.parametrize("method", trainer.METHODS)
@@ -399,38 +421,10 @@ def test_agem_method_projects_against_sampled_reference():
     assert len(log.proj_times) == len(projected)
 
 
-def test_spectral_estimate_is_taken_at_each_cold_start(monkeypatch):
-    real_power, real_step = trainer.power_iteration, trainer.train_step
-    calls = []
-    refreshes: dict[int, list[int]] = {}
-    steps_in_task: dict[int, int] = {}
-
-    def counting_power(*args, **kwargs):
-        calls.append(1)
-        return real_power(*args, **kwargs)
-
-    def recording_step(state, X, y):
-        before = len(calls)
-        rec = real_step(state, X, y)
-        offset = steps_in_task.get(rec.task, 0)
-        if len(calls) > before:
-            refreshes.setdefault(rec.task, []).append(offset)
-        steps_in_task[rec.task] = offset + 1
-        return rec
-
-    monkeypatch.setattr(trainer, "power_iteration", counting_power)
-    monkeypatch.setattr(trainer, "train_step", recording_step)
-    spec = StreamSpec(seed=0, n_per_experience=1000, feature_dim=8)
-    model = prepare_model(spec, 0, model_config=SMALL_MODEL)
-    run_experiences(TrainConfig(method="igem", seed=0, optimizer="adamw"), generate_stream(spec), model)
-    assert steps_in_task == {0: 25, 1: 25, 2: 25}
-    assert refreshes == {1: [0], 2: [0]}
-
-
 @pytest.mark.parametrize("optimizer", trainer.OPTIMIZERS)
 def test_igem_stepsize_keeps_every_projection_inside_the_stable_range(monkeypatch, optimizer):
-    # the estimate taken at a cold start sets eta for every warm-started
-    # projection after it; dual PGD converges while eta * sigma_max(G G') < 2
+    # every projection takes eta = c / sigma_max(G G') from its own G, inside
+    # dual PGD's stable range eta * sigma_max(G G') < 2
     real_pgd = trainer.pgd_project
     calls = []  # (eta, G) per projection
 
@@ -445,7 +439,8 @@ def test_igem_stepsize_keeps_every_projection_inside_the_stable_range(monkeypatc
     run_experiences(cfg, generate_stream(spec), model)
     assert len(calls) == 50  # 25 steps in each of tasks 1 and 2
     assert max(G.rows for _, G in calls) == 2
-    assert max(eta * true_sigma_max(G) for eta, G in calls) < 2.0
+    assert all(eta * true_sigma_max(G) == pytest.approx(cfg.stepsize_safety, rel=1e-12)
+               for eta, G in calls)
 
 
 def test_projected_agem_step_takes_one_dot_outside_the_projector(monkeypatch):
@@ -475,12 +470,12 @@ STAGE_PAUSE = 0.01
 
 
 @pytest.mark.parametrize("method,stage,timed", [
-    ("igem", "power_iteration", True),
+    ("igem", "stepsize", True),
     ("agem", "_agem_reference_gradient", False),
 ])
 def test_proj_time_is_one_timer_around_the_projection(monkeypatch, method, stage, timed):
     # a slowed stage shows in proj_time exactly when it belongs to the projection:
-    # igem's spectral estimate does, agem's reference backward does not
+    # igem's stepsize does, agem's reference backward does not
     _, plain = small_run(method, seed=0)
     real_stage, real_step = getattr(trainer, stage), trainer.train_step
     calls, slowed = [], []
